@@ -1,8 +1,10 @@
 """Evaluation: gate sharpness, factor consistency, latent traversals, PGM output.
 
 Everything here runs with the noise off and, where a discrete choice is
-needed, uses the hard argmax selection. Frames go to disk as binary PGM
-(P5) images so the traversal grids can be eyeballed anywhere.
+needed, uses the hard argmax selection. Pair lists are evaluated in row
+blocks of up to 256 pairs, one hard-mode `forward_pair` per block. Frames
+go to disk as binary PGM (P5) images so the traversal grids can be
+eyeballed anywhere.
 """
 
 from __future__ import annotations
@@ -12,32 +14,47 @@ from pathlib import Path
 
 import numpy as np
 
-from .gating import SharpenParams, gate_weights, hard_select, sharpen
+from .gating import SharpenParams, hard_select, sharpen
 from .model import ModelParams, decode, encode, forward_pair
 from .sprites import FACTORS, FramePair
 
+_BLOCK = 256  # pairs per evaluated row block
 
-def sharpness(params: ModelParams, pairs: list[FramePair], gamma: float,
-              num_heads: int | None = None) -> float:
+
+def _blocks(pairs: list[FramePair]):
+    """(pairs, x_prev rows, x_curr rows) for each block of a non-empty pair list."""
+    if not pairs:
+        raise ValueError("evaluation needs a non-empty dataset")
+    for start in range(0, len(pairs), _BLOCK):
+        chunk = pairs[start:start + _BLOCK]
+        yield chunk, np.stack([p.x_prev for p in chunk]), np.stack([p.x_curr for p in chunk])
+
+
+def _hard_passes(params: ModelParams, pairs: list[FramePair]):
+    """(pairs, hard-mode ForwardResult) for each block."""
+    sp = SharpenParams(gamma=1.0, sigma=0.0)
+    for chunk, x_prev, x_curr in _blocks(pairs):
+        yield chunk, forward_pair(x_prev, x_curr, params, sp, mode="hard")
+
+
+def _check_component(params: ModelParams, component: int) -> None:
+    d = params.config.latent_dim
+    if not 0 <= component < d:
+        raise ValueError(f"component {component} out of range for latent_dim {d}")
+
+
+def sharpness(params: ModelParams, pairs: list[FramePair], gamma: float) -> float:
     """Mean over pairs and heads of the largest sharpened gate weight.
 
     Noise-free: 1/latent_dim for untrained uniform gates, approaching 1.0
     once the gating commits to single components.
     """
-    if not pairs:
-        raise ValueError("sharpness needs a non-empty dataset")
-    heads = params.heads if num_heads is None else params.heads[:num_heads]
-    if not heads:
-        raise ValueError("sharpness needs at least one head")
     sp = SharpenParams(gamma=gamma, sigma=0.0)
     total = 0.0
-    for pair in pairs:
-        latent_prev = encode(pair.x_prev, params)
-        latent_curr = encode(pair.x_curr, params)
-        for head in heads:
-            w = sharpen(gate_weights(latent_prev, latent_curr, head), sp)
-            total += float(np.max(w.data))
-    return total / (len(pairs) * len(heads))
+    for _, result in _hard_passes(params, pairs):
+        for w in result.w_per_head:
+            total += float(np.max(sharpen(w, sp).data, axis=-1).sum())
+    return total / (len(pairs) * len(params.heads))
 
 
 @dataclass(frozen=True)
@@ -71,30 +88,21 @@ def consistency(params: ModelParams, pairs: list[FramePair]) -> ConsistencyRepor
     agreement is the fraction of pairs where some head picked that index.
     Factors with no pairs are omitted and listed as such.
     """
-    if not pairs:
-        raise ValueError("consistency needs a non-empty dataset")
-    picks: dict[str, list[list[int]]] = {f: [] for f in FACTORS}
-    for pair in pairs:
-        latent_prev = encode(pair.x_prev, params)
-        latent_curr = encode(pair.x_curr, params)
-        selected = [hard_select(gate_weights(latent_prev, latent_curr, head))
-                    for head in params.heads]
-        picks[pair.changed_factor].append(selected)
+    picks: dict[str, list[np.ndarray]] = {f: [] for f in FACTORS}
+    for chunk, result in _hard_passes(params, pairs):
+        selected = np.stack([hard_select(w) for w in result.w_per_head], axis=1)
+        for pair, row in zip(chunk, selected):
+            picks[pair.changed_factor].append(row)
 
-    d = params.config.latent_dim
     stats: list[FactorStats] = []
     omitted: list[str] = []
     for factor in FACTORS:
-        rows = picks[factor]
-        if not rows:
+        if not picks[factor]:
             omitted.append(factor)
             continue
-        counts = np.zeros(d, dtype=np.int64)
-        for row in rows:
-            for index in row:
-                counts[index] += 1
-        modal = int(np.argmax(counts))
-        hits = sum(1 for row in rows if modal in row)
+        rows = np.stack(picks[factor])  # (pairs, heads)
+        modal = int(np.argmax(np.bincount(rows.ravel(), minlength=params.config.latent_dim)))
+        hits = int((rows == modal).any(axis=1).sum())
         stats.append(FactorStats(factor=factor, modal_index=modal,
                                  agreement=hits / len(rows), count=len(rows)))
     modes = [s.modal_index for s in stats]
@@ -124,9 +132,7 @@ def traverse(params: ModelParams, frame: np.ndarray, component: int,
         raise ValueError("traverse needs at least one value")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"traversal values must be strictly increasing, got {values}")
-    d = params.config.latent_dim
-    if not 0 <= component < d:
-        raise ValueError(f"component {component} out of range for latent_dim {d}")
+    _check_component(params, component)
     side = params.config.image_side
     latent = encode(np.asarray(frame).reshape(-1), params).data
     frames = []
@@ -139,15 +145,10 @@ def traverse(params: ModelParams, frame: np.ndarray, component: int,
 
 def observed_range(params: ModelParams, pairs: list[FramePair], component: int) -> tuple[float, float]:
     """Min and max of one latent component over the current frames of a pair list."""
-    if not pairs:
-        raise ValueError("observed_range needs a non-empty dataset")
-    lo = float("inf")
-    hi = float("-inf")
-    for pair in pairs:
-        value = float(encode(pair.x_curr, params).data[component])
-        lo = min(lo, value)
-        hi = max(hi, value)
-    return lo, hi
+    _check_component(params, component)
+    values = np.concatenate([encode(x_curr, params).data[:, component]
+                             for _, _, x_curr in _blocks(pairs)])
+    return float(values.min()), float(values.max())
 
 
 def centroid(frame: np.ndarray) -> tuple[float, float]:
@@ -237,23 +238,17 @@ def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: floa
 
 
 def hard_mode_mse(params: ModelParams, pairs: list[FramePair]) -> float:
-    """Mean reconstruction error with hard selection, one pair at a time."""
-    if not pairs:
-        raise ValueError("hard_mode_mse needs a non-empty dataset")
-    sp = SharpenParams(gamma=1.0, sigma=0.0)
+    """Mean reconstruction error with hard selection, over every pixel of every pair."""
     total = 0.0
-    for pair in pairs:
-        result = forward_pair(pair.x_prev, pair.x_curr, params, sp, mode="hard")
-        total += result.loss.item()
+    for chunk, result in _hard_passes(params, pairs):
+        total += result.loss.item() * len(chunk)
     return total / len(pairs)
 
 
 def copy_baseline_mse(pairs: list[FramePair]) -> float:
     """Error of predicting the current frame as a copy of the previous one."""
-    if not pairs:
-        raise ValueError("copy_baseline_mse needs a non-empty dataset")
     total = 0.0
-    for pair in pairs:
-        diff = pair.x_prev - pair.x_curr
-        total += float(np.mean(diff * diff))
+    for _, x_prev, x_curr in _blocks(pairs):
+        diff = x_prev - x_curr
+        total += float(np.mean(diff * diff, axis=1).sum())
     return total / len(pairs)

@@ -17,17 +17,17 @@ from .autodiff import Tensor, apply, constant
 
 @dataclass
 class GatingHead:
-    """Two-layer scorer: softmax(w2 tanh(w1 [d; d * d] + b1) + b2).
+    """Two-layer scorer: softmax(tanh([d; d * d] w1 + b1) w2 + b2).
 
     d = curr - prev is the change of the latent between the two frames (see
     `head_input`). The head sees which components moved and by how much, but
     not the latents themselves, so an offset shared by every frame cannot
-    reach it.
+    reach it. Matrices are stored (fan_in, fan_out), like the encoder's.
     """
 
-    w1: object  # (hidden, 2 * latent_dim), array or tape leaf
+    w1: object  # (2 * latent_dim, hidden), array or tape leaf
     b1: object  # (hidden,)
-    w2: object  # (latent_dim, hidden)
+    w2: object  # (hidden, latent_dim)
     b2: object  # (latent_dim,)
 
 
@@ -59,21 +59,20 @@ def head_input(h_prev, h_curr) -> Tensor:
 
 
 def gate_weights(h_prev, h_curr, head: GatingHead) -> Tensor:
-    """Simplex weighting over latent components for one frame pair.
+    """Simplex weighting over latent components for a frame pair or a row block.
 
     Differentiable in both latents and in the head parameters. The two
-    latents must be vectors of equal length; only their difference reaches
-    the head, so adding one vector to both leaves the weighting unchanged.
+    latents must have equal shapes, vectors or (batch, latent) rows; only
+    their difference reaches the head, so adding one vector to both leaves
+    the weighting unchanged.
     """
     h_prev = _as_tensor(h_prev)
     h_curr = _as_tensor(h_curr)
-    if h_prev.ndim != 1 or h_curr.ndim != 1:
-        raise ValueError(f"gate_weights expects vectors, got {h_prev.shape} and {h_curr.shape}")
     if h_prev.shape != h_curr.shape:
         raise ValueError(f"latent shapes differ: {h_prev.shape} vs {h_curr.shape}")
     both = head_input(h_prev, h_curr)
-    hidden = apply("tanh", [apply("add", [apply("matmul", [head.w1, both]), head.b1])])
-    scores = apply("add", [apply("matmul", [head.w2, hidden]), head.b2])
+    hidden = apply("tanh", [apply("add", [apply("matmul", [both, head.w1]), head.b1])])
+    scores = apply("add", [apply("matmul", [hidden, head.w2]), head.b2])
     return apply("softmax", [scores], {"axis": -1})
 
 
@@ -139,17 +138,7 @@ def mix(h_prev, h_curr, mask) -> Tensor:
     return apply("add", [kept, swapped])
 
 
-def hard_select(w) -> int:
-    """Index of the largest weight; ties resolve to the lowest index."""
-    arr = w.data if isinstance(w, Tensor) else np.asarray(w)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"hard_select expects a non-empty vector, got shape {arr.shape}")
-    return int(np.argmax(arr))
-
-
-def one_hot(index: int, dim: int) -> np.ndarray:
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
-    v = np.zeros(dim, dtype=np.float64)
-    v[index] = 1.0
-    return v
+def hard_select(w):
+    """Index of the largest weight along the last axis; ties resolve to the
+    lowest index. A vector gives one index, a row block one per row."""
+    return np.argmax(w.data if isinstance(w, Tensor) else np.asarray(w), axis=-1)

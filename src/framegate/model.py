@@ -9,13 +9,12 @@ current frame from that mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, apply, constant
-from .gating import (GatingHead, SharpenParams, combine_heads, gate_weights, hard_select,
-                     head_input, mix, one_hot, sharpen)
+from .gating import GatingHead, SharpenParams, combine_heads, gate_weights, hard_select, mix, sharpen
 
 
 @dataclass(frozen=True)
@@ -46,29 +45,54 @@ class ModelConfig:
         return self.image_side * self.image_side
 
 
-def _uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int,
-                  shape: tuple[int, ...]) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def _uniform_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    bound = np.sqrt(6.0 / sum(shape))
     return rng.uniform(-bound, bound, size=shape)
+
+
+_HEAD_FIELDS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
 class ModelParams:
-    """All trainable arrays. Weight matrices are stored (fan_in, fan_out) for
-    the encoder/decoder stacks; gating heads keep their own documented layout."""
+    """All trainable arrays. Every weight matrix, gating heads included, is
+    stored (fan_in, fan_out), so a row block multiplies it from the left."""
 
     config: ModelConfig
-    enc_w: list = field(default_factory=list)
-    enc_b: list = field(default_factory=list)
-    dec_w: list = field(default_factory=list)
-    dec_b: list = field(default_factory=list)
-    heads: list = field(default_factory=list)
+    enc_w: list
+    enc_b: list
+    dec_w: list
+    dec_b: list
+    heads: list
 
     @staticmethod
-    def _layer_dims(config: ModelConfig) -> tuple[list[int], list[int]]:
-        enc = [config.pixels, *config.enc_hidden, config.latent_dim]
-        dec = [config.latent_dim, *config.dec_hidden, config.pixels]
-        return enc, dec
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in the order of `named`."""
+        out: dict[str, tuple[int, ...]] = {}
+        for prefix, dims in (("enc", [config.pixels, *config.enc_hidden, config.latent_dim]),
+                             ("dec", [config.latent_dim, *config.dec_hidden, config.pixels])):
+            for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+                out[f"{prefix}{i}.w"] = (fan_in, fan_out)
+                out[f"{prefix}{i}.b"] = (fan_out,)
+        d, hidden = config.latent_dim, config.gate_hidden
+        for k in range(config.num_heads):
+            out.update({f"head{k}.w1": (2 * d, hidden), f"head{k}.b1": (hidden,),
+                        f"head{k}.w2": (hidden, d), f"head{k}.b2": (d,)})
+        return out
+
+    @classmethod
+    def assemble(cls, config: ModelConfig, named: dict) -> "ModelParams":
+        """Parameters from a name -> array (or tape leaf) mapping laid out as
+        `named` returns it. Nothing is copied or checked."""
+        return cls(
+            config=config,
+            enc_w=[named[f"enc{i}.w"] for i in range(len(config.enc_hidden) + 1)],
+            enc_b=[named[f"enc{i}.b"] for i in range(len(config.enc_hidden) + 1)],
+            dec_w=[named[f"dec{i}.w"] for i in range(len(config.dec_hidden) + 1)],
+            dec_b=[named[f"dec{i}.b"] for i in range(len(config.dec_hidden) + 1)],
+            heads=[GatingHead(*(named[f"head{k}.{f}"] for f in _HEAD_FIELDS))
+                   for k in range(config.num_heads)],
+        )
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator,
@@ -80,24 +104,19 @@ class ModelParams:
         decoder draws the mean frame rather than uniform gray.
 
         Draw order is fixed (encoder layers, decoder layers, then heads) so a
-        given rng always produces the same parameters.
+        given rng always produces the same parameters. Head matrices are
+        drawn (fan_out, fan_in), the layout of version-1 checkpoints, and
+        transposed, so each seed keeps its values.
         """
-        enc_dims, dec_dims = cls._layer_dims(config)
-        params = cls(config=config)
-        for fan_in, fan_out in zip(enc_dims[:-1], enc_dims[1:]):
-            params.enc_w.append(_uniform_init(rng, fan_in, fan_out, (fan_in, fan_out)))
-            params.enc_b.append(np.zeros(fan_out))
-        for fan_in, fan_out in zip(dec_dims[:-1], dec_dims[1:]):
-            params.dec_w.append(_uniform_init(rng, fan_in, fan_out, (fan_in, fan_out)))
-            params.dec_b.append(np.zeros(fan_out))
-        d, hidden = config.latent_dim, config.gate_hidden
-        for _ in range(config.num_heads):
-            params.heads.append(GatingHead(
-                w1=_uniform_init(rng, 2 * d, hidden, (hidden, 2 * d)),
-                b1=np.zeros(hidden),
-                w2=_uniform_init(rng, hidden, d, (d, hidden)),
-                b2=np.zeros(d),
-            ))
+        arrays = {}
+        for name, shape in cls.shapes(config).items():
+            if len(shape) == 1:
+                arrays[name] = np.zeros(shape)
+            elif name.startswith("head"):
+                arrays[name] = np.ascontiguousarray(_uniform_init(rng, shape[::-1]).T)
+            else:
+                arrays[name] = _uniform_init(rng, shape)
+        params = cls.assemble(config, arrays)
         if mean_frame is not None:
             mean = np.clip(np.asarray(mean_frame, dtype=np.float64), 1e-3, 1.0 - 1e-3)
             if mean.shape != params.dec_b[-1].shape:
@@ -109,59 +128,40 @@ class ModelParams:
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero parameters; handy as a fixed point in tests."""
-        enc_dims, dec_dims = cls._layer_dims(config)
-        params = cls(config=config)
-        for fan_in, fan_out in zip(enc_dims[:-1], enc_dims[1:]):
-            params.enc_w.append(np.zeros((fan_in, fan_out)))
-            params.enc_b.append(np.zeros(fan_out))
-        for fan_in, fan_out in zip(dec_dims[:-1], dec_dims[1:]):
-            params.dec_w.append(np.zeros((fan_in, fan_out)))
-            params.dec_b.append(np.zeros(fan_out))
-        d, hidden = config.latent_dim, config.gate_hidden
-        for _ in range(config.num_heads):
-            params.heads.append(GatingHead(
-                w1=np.zeros((hidden, 2 * d)), b1=np.zeros(hidden),
-                w2=np.zeros((d, hidden)), b2=np.zeros(d),
-            ))
-        return params
+        return cls.assemble(config, {name: np.zeros(shape)
+                                     for name, shape in cls.shapes(config).items()})
 
-    def named(self) -> dict[str, np.ndarray]:
+    def named(self) -> dict:
         """Stable name -> live array mapping; mutating the arrays updates the model."""
-        out: dict[str, np.ndarray] = {}
+        out = {}
         for i, (w, b) in enumerate(zip(self.enc_w, self.enc_b)):
             out[f"enc{i}.w"] = w
             out[f"enc{i}.b"] = b
         for i, (w, b) in enumerate(zip(self.dec_w, self.dec_b)):
             out[f"dec{i}.w"] = w
             out[f"dec{i}.b"] = b
-        for i, head in enumerate(self.heads):
-            out[f"head{i}.w1"] = head.w1
-            out[f"head{i}.b1"] = head.b1
-            out[f"head{i}.w2"] = head.w2
-            out[f"head{i}.b2"] = head.b2
+        for k, head in enumerate(self.heads):
+            out.update({f"head{k}.{f}": getattr(head, f) for f in _HEAD_FIELDS})
         return out
 
     @classmethod
     def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Rebuild from a name -> array mapping, validating names and shapes."""
-        reference = cls.zeros(config)
-        expected = reference.named()
-        for name, ref in expected.items():
+        """Rebuild from copies of a name -> array mapping, validating names and shapes."""
+        expected = cls.shapes(config)
+        for name, shape in expected.items():
             if name not in arrays:
                 raise KeyError(f"missing parameter {name!r}")
-            if arrays[name].shape != ref.shape:
+            if arrays[name].shape != shape:
                 raise ValueError(
-                    f"parameter {name!r} has shape {arrays[name].shape}, expected {ref.shape}")
+                    f"parameter {name!r} has shape {arrays[name].shape}, expected {shape}")
         extras = set(arrays) - set(expected)
         if extras:
             raise KeyError(f"unexpected parameter {sorted(extras)[0]!r}")
-        for name, ref in expected.items():
-            ref[...] = arrays[name]
-        return reference
+        return cls.assemble(config, {name: np.array(arrays[name], dtype=np.float64, order="C")
+                                     for name in expected})
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_named(
-            self.config, {k: v.copy() for k, v in self.named().items()})
+        return ModelParams.from_named(self.config, self.named())
 
 
 def encode(frame, params) -> Tensor:
@@ -210,149 +210,72 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams,
                  mode: str = "soft", rng: np.random.Generator | None = None) -> ForwardResult:
     """Gated reconstruction of the current frame from a frame pair.
 
-    Each head scores the latent change h_curr - h_prev and its elementwise
-    square (`gating.head_input`), never the two latents themselves. "soft"
-    sharpens each head's weighting (drawing noise from rng when sigma > 0);
-    "hard" swaps exactly the argmax component per head and is
-    rng-independent. w_per_head holds the raw simplex weightings before
-    sharpening. The loss is the mean squared pixel error against x_curr.
+    Takes two frames or two (batch, pixels) row blocks; each block goes
+    through the encoder on its own. Each head scores the latent change
+    h_curr - h_prev and its elementwise square (`gating.head_input`), never
+    the two latents themselves. "soft" sharpens each head's weighting
+    (drawing noise from rng when sigma > 0); "hard" swaps exactly the argmax
+    component per head and is rng-independent. w_per_head holds the raw
+    simplex weightings before sharpening. The loss is the mean squared
+    pixel error against x_curr, over every pixel of every row.
     """
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    if mode == "soft" and rng is None:
-        raise ValueError("soft mode requires an rng")
     prev_t = x_prev if isinstance(x_prev, Tensor) else Tensor(x_prev)
     curr_t = x_curr if isinstance(x_curr, Tensor) else Tensor(x_curr)
     if prev_t.shape != curr_t.shape:
         raise ValueError(f"frame shapes differ: {prev_t.shape} vs {curr_t.shape}")
-
-    latent_prev = encode(prev_t, params)
-    latent_curr = encode(curr_t, params)
-    d = latent_prev.shape[-1]
-    weightings = [gate_weights(latent_prev, latent_curr, head) for head in params.heads]
-    if mode == "soft":
-        chosen = [sharpen(w, sharpen_params, rng) for w in weightings]
-    else:
-        chosen = [constant(one_hot(hard_select(w), d)) for w in weightings]
-    mask = combine_heads(chosen)
-    mixed = mix(latent_prev, latent_curr, mask)
-    x_hat = decode(mixed, params)
-    loss = apply("mean-squared-error", [x_hat, curr_t])
-    return ForwardResult(x_hat=x_hat, loss=loss, w_per_head=weightings, mask=mask,
-                         latent_prev=latent_prev, latent_curr=latent_curr, mixed=mixed)
+    return _gated(encode(prev_t, params), encode(curr_t, params), curr_t, params,
+                  sharpen_params, mode, rng)
 
 
-# ---- Batched path used by the trainer ----
-#
-# Row-major batches (batch, pixels) reuse encode/decode/sharpen/combine/mix
-# unchanged; only the head scoring needs its matrices transposed so the
-# batch can stay on the left of every matmul.
-
-@dataclass
-class _BatchHead:
-    w1t: object  # (2d, hidden)
-    b1: object
-    w2t: object  # (hidden, d)
-    b2: object
-
-
-@dataclass
-class BatchParams:
-    config: ModelConfig
-    enc_w: list
-    enc_b: list
-    dec_w: list
-    dec_b: list
-    heads: list
-
-
-_TRANSPOSED_SUFFIXES = (".w1", ".w2")
-
-
-def prepare_batch_params(params: ModelParams, tape: Tape | None = None):
-    """View of the parameters for batched passes.
-
-    With a tape, every array is registered as a leaf and the returned mapping
-    names them for gradient extraction; head matrices are stored transposed
-    (their gradients transpose back in `extract_grads`). Without a tape the
-    arrays pass through as constants for pure evaluation.
-    """
-    leaves: dict[str, Tensor] = {}
-
-    def track(name: str, arr: np.ndarray):
-        if tape is None:
-            return arr
-        leaf = tape.leaf(arr)
-        leaves[name] = leaf
-        return leaf
-
-    enc_w = [track(f"enc{i}.w", w) for i, w in enumerate(params.enc_w)]
-    enc_b = [track(f"enc{i}.b", b) for i, b in enumerate(params.enc_b)]
-    dec_w = [track(f"dec{i}.w", w) for i, w in enumerate(params.dec_w)]
-    dec_b = [track(f"dec{i}.b", b) for i, b in enumerate(params.dec_b)]
-    heads = []
-    for i, head in enumerate(params.heads):
-        heads.append(_BatchHead(
-            w1t=track(f"head{i}.w1", np.ascontiguousarray(head.w1.T)),
-            b1=track(f"head{i}.b1", head.b1),
-            w2t=track(f"head{i}.w2", np.ascontiguousarray(head.w2.T)),
-            b2=track(f"head{i}.b2", head.b2),
-        ))
-    return BatchParams(params.config, enc_w, enc_b, dec_w, dec_b, heads), leaves
-
-
-def extract_grads(leaves: dict[str, Tensor], grad_map: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
-    """Named gradients from a backward() result, undoing the head transposes."""
-    out: dict[str, np.ndarray] = {}
-    for name, leaf in leaves.items():
-        g = grad_map[leaf.node]
-        if name.endswith(_TRANSPOSED_SUFFIXES):
-            g = np.ascontiguousarray(g.T)
-        out[name] = g
-    return out
-
-
-def _batch_head_weights(latent_prev: Tensor, latent_curr: Tensor, head: _BatchHead) -> Tensor:
-    both = head_input(latent_prev, latent_curr)
-    hidden = apply("tanh", [apply("add", [apply("matmul", [both, head.w1t]), head.b1])])
-    scores = apply("add", [apply("matmul", [hidden, head.w2t]), head.b2])
-    return apply("softmax", [scores], {"axis": -1})
-
-
-def forward_batch(x_prev: np.ndarray, x_curr: np.ndarray, batch_params: BatchParams,
+def forward_batch(x_prev: np.ndarray, x_curr: np.ndarray, params,
                   sharpen_params: SharpenParams, mode: str = "soft",
                   rng: np.random.Generator | None = None) -> ForwardResult:
-    """forward_pair over a whole (batch, pixels) block.
+    """forward_pair over a (batch, pixels) block, with both frame blocks run
+    through the encoder as one stacked batch."""
+    if x_prev.shape != x_curr.shape or x_prev.ndim != 2:
+        raise ValueError(f"expected matching (batch, pixels) blocks, got {x_prev.shape} and {x_curr.shape}")
+    b = x_prev.shape[0]
+    stacked = encode(constant(np.concatenate([x_prev, x_curr], axis=0)), params)
+    latent_prev = apply("slice", [stacked], {"axis": 0, "range": (0, b)})
+    latent_curr = apply("slice", [stacked], {"axis": 0, "range": (b, 2 * b)})
+    return _gated(latent_prev, latent_curr, constant(x_curr), params, sharpen_params, mode, rng)
 
-    Both frame blocks run through the encoder as one stacked batch. The loss
-    is the mean squared error over every pixel of every pair, which equals
-    the mean of the per-pair losses.
-    """
+
+def _gated(latent_prev: Tensor, latent_curr: Tensor, target: Tensor, params,
+           sharpen_params: SharpenParams, mode: str,
+           rng: np.random.Generator | None) -> ForwardResult:
+    """Everything after the encoder: gate, mix, decode, loss."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
     if mode == "soft" and rng is None:
         raise ValueError("soft mode requires an rng")
-    if x_prev.shape != x_curr.shape or x_prev.ndim != 2:
-        raise ValueError(f"expected matching (batch, pixels) blocks, got {x_prev.shape} and {x_curr.shape}")
-    b = x_prev.shape[0]
-
-    stacked = encode(constant(np.concatenate([x_prev, x_curr], axis=0)), batch_params)
-    latent_prev = apply("slice", [stacked], {"axis": 0, "range": (0, b)})
-    latent_curr = apply("slice", [stacked], {"axis": 0, "range": (b, 2 * b)})
-    d = latent_prev.shape[-1]
-
-    weightings = [_batch_head_weights(latent_prev, latent_curr, head) for head in batch_params.heads]
+    weightings = [gate_weights(latent_prev, latent_curr, head) for head in params.heads]
     if mode == "soft":
         chosen = [sharpen(w, sharpen_params, rng) for w in weightings]
     else:
-        chosen = []
-        for w in weightings:
-            rows = np.zeros((b, d))
-            rows[np.arange(b), np.argmax(w.data, axis=1)] = 1.0
-            chosen.append(constant(rows))
+        eye = np.eye(latent_prev.shape[-1])
+        chosen = [constant(eye[hard_select(w)]) for w in weightings]
     mask = combine_heads(chosen)
     mixed = mix(latent_prev, latent_curr, mask)
-    x_hat = decode(mixed, batch_params)
-    loss = apply("mean-squared-error", [x_hat, constant(x_curr)])
+    x_hat = decode(mixed, params)
+    loss = apply("mean-squared-error", [x_hat, target])
     return ForwardResult(x_hat=x_hat, loss=loss, w_per_head=weightings, mask=mask,
                          latent_prev=latent_prev, latent_curr=latent_curr, mixed=mixed)
+
+
+def prepare_batch_params(params: ModelParams, tape: Tape | None = None):
+    """Parameters for one pass, and the tape leaves by name.
+
+    With a tape, every array is registered as a leaf and the returned
+    parameters hold the leaves. Without one the arrays pass through as
+    constants for pure evaluation, and no leaves are returned.
+    """
+    if tape is None:
+        return params, {}
+    leaves = {name: tape.leaf(arr) for name, arr in params.named().items()}
+    return ModelParams.assemble(params.config, leaves), leaves
+
+
+def extract_grads(leaves: dict[str, Tensor], grad_map: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named gradients from a backward() result."""
+    return {name: grad_map[leaf.node] for name, leaf in leaves.items()}

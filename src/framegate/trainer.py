@@ -17,15 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import evaluation
 from .autodiff import Tape, backward
-from .gating import SharpenParams, sharpen
+from .gating import SharpenParams
 from .model import (ModelConfig, ModelParams, extract_grads, forward_batch,
                     prepare_batch_params)
 from .sprites import FramePair
 from .streams import stream
 
 CHECKPOINT_MAGIC = "framegate-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: head matrices stored (fan_in, fan_out)
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def load_checkpoint(path) -> Checkpoint:
         seed=int(need("seed")),
         checkpoint_every=int(need("checkpoint_every")),
     )
-    expected = ModelParams.zeros(model).named()
+    expected = ModelParams.shapes(model)
     arrays: dict[str, np.ndarray] = {}
     names = list(expected)
     slot = 0
@@ -272,7 +273,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unexpected parameter {name!r}")
         if name != names[slot]:
             raise CheckpointError(f"unexpected parameter {name!r} (expected {names[slot]!r})")
-        want = expected[name].shape
+        want = expected[name]
         if shape != want:
             raise CheckpointError(f"parameter {name!r} has shape {shape}, expected {want}")
         rows = shape[0] if len(shape) == 2 else 1
@@ -288,6 +289,8 @@ def load_checkpoint(path) -> Checkpoint:
         if len(values) != count:
             raise CheckpointError(f"parameter {name!r} has {len(values)} values, expected {count}")
         arrays[name] = np.array(values).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
         slot += 1
     if slot != len(names):
         raise CheckpointError(f"missing parameter {names[slot]!r}")
@@ -318,25 +321,6 @@ def mean_frame(pairs: list[FramePair]) -> np.ndarray:
     return total / (2 * len(pairs))
 
 
-def _batched_eval(params: ModelParams, pairs: list[FramePair], gamma: float,
-                  chunk: int = 256) -> tuple[float, float]:
-    """(hard-mode mean loss, mean max sharpened weight) over a pair list."""
-    batch_params, _ = prepare_batch_params(params)
-    sp = SharpenParams(gamma=gamma, sigma=0.0)
-    loss_total = 0.0
-    sharp_total = 0.0
-    heads = len(batch_params.heads)
-    for start in range(0, len(pairs), chunk):
-        ids = range(start, min(start + chunk, len(pairs)))
-        x_prev, x_curr = _stack_pairs(pairs, ids)
-        result = forward_batch(x_prev, x_curr, batch_params, sp, mode="hard")
-        loss_total += result.loss.item() * len(ids)
-        for w in result.w_per_head:
-            sharp_total += float(np.max(sharpen(w, sp).data, axis=-1).sum())
-    n = len(pairs)
-    return loss_total / n, sharp_total / (n * heads)
-
-
 def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
         quiet: bool = False) -> Checkpoint:
     """Train for `epochs` epochs, logging and checkpointing under out_dir.
@@ -346,7 +330,8 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
 
     Writes log.tsv with one tab-separated line per epoch (epoch, gamma,
     sigma, train loss, validation loss, validation sharpness), mirrored to
-    stdout. Checkpoints land at epoch 0, every checkpoint_every epochs, and
+    stdout; the validation columns are `evaluation.hard_mode_mse` and
+    `evaluation.sharpness`. Checkpoints land at epoch 0, every checkpoint_every epochs, and
     at the end; on divergence the files already written stay behind.
     Returns the final checkpoint.
     """
@@ -372,7 +357,8 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
             except TrainingDiverged as err:
                 err.epoch = epoch
                 raise
-            val_loss, val_sharp = _batched_eval(params, val_pairs, gamma)
+            val_loss = evaluation.hard_mode_mse(params, val_pairs)
+            val_sharp = evaluation.sharpness(params, val_pairs, gamma)
             line = f"{epoch}\t{gamma!r}\t{sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
             log.write(line + "\n")
             log.flush()

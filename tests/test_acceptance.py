@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import record_criterion
-from test_model import GRAD_STEP, assemble
+from test_model import GRAD_STEP
 
 from framegate import cli, evaluation
 from framegate.autodiff import apply, constant, grad_check
@@ -143,7 +143,7 @@ def test_criterion_1_gradient_suite():
             for name in arrays:
                 def f(leaf, vary=name):
                     values = {k: (leaf if k == vary else v) for k, v in arrays.items()}
-                    return forward_pair(x_prev, x_curr, assemble(config, values), sp,
+                    return forward_pair(x_prev, x_curr, ModelParams.assemble(config, values), sp,
                                         mode="soft", rng=np.random.default_rng(0)).loss
                 err = grad_check(f, arrays[name], step=GRAD_STEP)
                 if err > worst:

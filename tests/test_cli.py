@@ -191,3 +191,20 @@ def test_traverse_argument_validation(tmp_path, capsys):
     assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data),
                     "--pair-index", "0", "--component", "0", "--steps", "1"]) == 1
     capsys.readouterr()
+    for component in ("99", "-1"):
+        assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data),
+                        "--pair-index", "0", "--component", component]) == 1
+        assert f"component {component} out of range for latent_dim 6" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
+    data = gen(tmp_path)
+    ckpt = train(tmp_path, data) / "checkpoint_final.txt"
+    lines = ckpt.read_text().splitlines()
+    row = lines.index("param enc0.b 16") + 1
+    lines[row] = " ".join(["nan", "inf", *lines[row].split()[2:]])
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    assert "'enc0.b' holds a non-finite value" in capsys.readouterr().err
+    assert not (ckpt.parent / "eval_report.txt").exists()

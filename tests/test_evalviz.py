@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from framegate import evaluation
-from framegate.model import ModelConfig, ModelParams, decode, encode
-from framegate.sprites import FramePair, sample_pair
+from framegate.gating import SharpenParams, sharpen
+from framegate.model import ModelConfig, ModelParams, decode, encode, forward_pair
+from framegate.sprites import FACTORS, FramePair, sample_pair
 from framegate.streams import stream
 
 SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
@@ -42,8 +43,6 @@ def test_sharpness_validation():
     params = ModelParams.zeros(SMALL)
     with pytest.raises(ValueError, match="non-empty"):
         evaluation.sharpness(params, [], 1.0)
-    with pytest.raises(ValueError, match="head"):
-        evaluation.sharpness(params, sprite_pairs(0, 2), 1.0, num_heads=0)
 
 
 # ---- consistency ----
@@ -72,6 +71,33 @@ def test_consistency_lists_missing_factors():
         report.stats_for("y")
     with pytest.raises(ValueError, match="non-empty"):
         evaluation.consistency(params, [])
+
+
+# ---- row blocks against the per-pair loop ----
+
+def test_block_evaluation_matches_the_per_pair_loop():
+    # 300 pairs span two row blocks. Block and vector matmuls may differ in
+    # the last bit, and the block sums run in another order, so the scalars
+    # agree within 1e-12; the picks must be identical.
+    config = ModelConfig(image_side=8, latent_dim=6, num_heads=2,
+                         enc_hidden=(16,), dec_hidden=(16,), gate_hidden=8)
+    params = ModelParams.initialize(config, stream(9, "init"))
+    pairs = sprite_pairs(9, 300)
+    sp = SharpenParams(gamma=3.0)
+    losses, maxima, picks = [], [], {f: [] for f in FACTORS}
+    for pair in pairs:
+        result = forward_pair(pair.x_prev, pair.x_curr, params, sp, mode="hard")
+        losses.append(result.loss.item())
+        maxima += [float(sharpen(w, sp).data.max()) for w in result.w_per_head]
+        picks[pair.changed_factor].append([int(np.argmax(w.data)) for w in result.w_per_head])
+    assert abs(evaluation.hard_mode_mse(params, pairs) - np.mean(losses)) < 1e-12
+    assert abs(evaluation.sharpness(params, pairs, 3.0) - np.mean(maxima)) < 1e-12
+    for stats in evaluation.consistency(params, pairs).factors:
+        rows = picks[stats.factor]
+        counts = np.bincount(np.ravel(rows), minlength=config.latent_dim)
+        assert stats.modal_index == int(np.argmax(counts))
+        assert stats.agreement == sum(stats.modal_index in row for row in rows) / len(rows)
+        assert stats.count == len(rows)
 
 
 # ---- traversal ----
@@ -111,7 +137,15 @@ def test_observed_range_brackets_every_latent():
     pairs = sprite_pairs(5, 8)
     lo, hi = evaluation.observed_range(params, pairs, 1)
     values = [float(encode(p.x_curr, params).data[1]) for p in pairs]
-    assert lo == min(values) and hi == max(values)
+    # One block matmul and per-frame vector matmuls may differ in the last bit.
+    assert abs(lo - min(values)) <= 1e-12 and abs(hi - max(values)) <= 1e-12
+
+
+def test_observed_range_rejects_components_outside_the_latent():
+    params = ModelParams.zeros(SMALL)
+    for component in (-1, SMALL.latent_dim):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluation.observed_range(params, sprite_pairs(0, 2), component)
 
 
 # ---- centroid ----

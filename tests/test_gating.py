@@ -5,16 +5,16 @@ import pytest
 
 from framegate.autodiff import Tape, Tensor, apply, backward, constant, grad_check
 from framegate.gating import (GatingHead, SharpenParams, combine_heads, gate_weights,
-                              hard_select, head_input, mix, one_hot, sharpen)
+                              hard_select, head_input, mix, sharpen)
 
 TOL = 1e-5
 
 
 def make_head(rng, d, hidden=8):
     return GatingHead(
-        w1=rng.normal(0, 0.5, size=(hidden, 2 * d)),
+        w1=rng.normal(0, 0.5, size=(2 * d, hidden)),
         b1=rng.normal(0, 0.5, size=hidden),
-        w2=rng.normal(0, 0.5, size=(d, hidden)),
+        w2=rng.normal(0, 0.5, size=(hidden, d)),
         b2=rng.normal(0, 0.5, size=d),
     )
 
@@ -28,8 +28,8 @@ def random_simplex(rng, d):
 
 def test_zero_head_gives_uniform_weights():
     d = 6
-    head = GatingHead(w1=np.zeros((8, 2 * d)), b1=np.zeros(8),
-                      w2=np.zeros((d, 8)), b2=np.zeros(d))
+    head = GatingHead(w1=np.zeros((2 * d, 8)), b1=np.zeros(8),
+                      w2=np.zeros((8, d)), b2=np.zeros(d))
     w = gate_weights(np.ones(d), -np.ones(d), head)
     assert np.array_equal(w.data, np.full(d, 1.0 / d))
 
@@ -52,9 +52,9 @@ def test_gate_weights_permutation_equivariant():
     h_prev, h_curr = rng.normal(size=d), rng.normal(size=d)
     perm = rng.permutation(d)
     permuted = GatingHead(
-        w1=np.concatenate([head.w1[:, :d][:, perm], head.w1[:, d:][:, perm]], axis=1),
+        w1=np.concatenate([head.w1[:d][perm], head.w1[d:][perm]], axis=0),
         b1=head.b1,
-        w2=head.w2[perm],
+        w2=head.w2[:, perm],
         b2=head.b2[perm],
     )
     base = gate_weights(h_prev, h_curr, head).data
@@ -88,8 +88,17 @@ def test_gate_weights_rejects_bad_shapes():
     head = make_head(np.random.default_rng(0), 4)
     with pytest.raises(ValueError, match="differ"):
         gate_weights(np.zeros(4), np.zeros(5), head)
-    with pytest.raises(ValueError, match="vectors"):
-        gate_weights(np.zeros((2, 4)), np.zeros((2, 4)), head)
+    with pytest.raises(ValueError, match="differ"):
+        gate_weights(np.zeros((2, 4)), np.zeros((3, 4)), head)
+
+
+def test_gate_weights_of_a_row_block_match_each_row():
+    rng = np.random.default_rng(7)
+    head = make_head(rng, 4)
+    h_prev, h_curr = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    rows = gate_weights(h_prev, h_curr, head).data
+    for i in range(3):
+        assert np.allclose(rows[i], gate_weights(h_prev[i], h_curr[i], head).data, atol=1e-15)
 
 
 # ---- sharpen ----
@@ -188,7 +197,7 @@ def test_combine_single_head_passthrough():
 
 
 def test_combine_disjoint_one_hots():
-    m = combine_heads([one_hot(0, 3), one_hot(2, 3)]).data
+    m = combine_heads([np.eye(3)[0], np.eye(3)[2]]).data
     assert np.array_equal(m, [1.0, 0.0, 1.0])
 
 
@@ -216,7 +225,7 @@ def test_combine_monotone_in_each_component():
 def test_mix_one_hot_swaps_single_component():
     h_prev = np.array([1.0, 2.0, 3.0])
     h_curr = np.array([10.0, 20.0, 30.0])
-    out = mix(h_prev, h_curr, one_hot(1, 3)).data
+    out = mix(h_prev, h_curr, np.eye(3)[1]).data
     assert np.array_equal(out, [1.0, 20.0, 3.0])
 
 
@@ -241,6 +250,7 @@ def test_mix_bounded_by_inputs():
 def test_hard_select_examples():
     assert hard_select(np.array([0.1, 0.7, 0.2])) == 1
     assert hard_select(np.array([0.5, 0.5])) == 0
+    assert hard_select(np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.5]])).tolist() == [1, 0]
     with pytest.raises(ValueError):
         hard_select(np.array([]))
 
@@ -266,8 +276,8 @@ def test_gate_weights_gradient_each_argument():
     d, hidden = 4, 5
     arrays = {
         "h_prev": rng.normal(size=d), "h_curr": rng.normal(size=d),
-        "w1": rng.normal(0, 0.5, size=(hidden, 2 * d)), "b1": rng.normal(size=hidden),
-        "w2": rng.normal(0, 0.5, size=(d, hidden)), "b2": rng.normal(size=d),
+        "w1": rng.normal(0, 0.5, size=(2 * d, hidden)), "b1": rng.normal(size=hidden),
+        "w2": rng.normal(0, 0.5, size=(hidden, d)), "b2": rng.normal(size=d),
     }
     cot = rng.normal(size=d)
     for name in arrays:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framegate.autodiff import Tape, apply, backward, grad_check
-from framegate.gating import GatingHead, SharpenParams
+from framegate.gating import SharpenParams
 from framegate.model import (ForwardResult, ModelConfig, ModelParams, decode, encode,
                              extract_grads, forward_batch, forward_pair,
                              prepare_batch_params)
@@ -206,27 +206,6 @@ def test_batch_loss_equals_mean_of_pair_losses():
     assert abs(batch_loss - np.mean(singles)) < 1e-12
 
 
-def assemble(config, values):
-    """ModelParams from a name -> array-or-leaf mapping, no copying."""
-    params = ModelParams(config=config)
-    n_enc = len(config.enc_hidden) + 1
-    n_dec = len(config.dec_hidden) + 1
-    params.enc_w = [values[f"enc{i}.w"] for i in range(n_enc)]
-    params.enc_b = [values[f"enc{i}.b"] for i in range(n_enc)]
-    params.dec_w = [values[f"dec{i}.w"] for i in range(n_dec)]
-    params.dec_b = [values[f"dec{i}.b"] for i in range(n_dec)]
-    params.heads = [GatingHead(values[f"head{k}.w1"], values[f"head{k}.b1"],
-                               values[f"head{k}.w2"], values[f"head{k}.b2"])
-                    for k in range(config.num_heads)]
-    return params
-
-
-def leaf_params(config, arrays, tape):
-    """ModelParams whose fields are all tape leaves; also name -> leaf."""
-    leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
-    return assemble(config, leaves), leaves
-
-
 def test_batch_gradients_match_averaged_pair_gradients():
     rng = np.random.default_rng(11)
     params = ModelParams.initialize(SMALL, rng)
@@ -243,7 +222,7 @@ def test_batch_gradients_match_averaged_pair_gradients():
     summed = {k: np.zeros_like(v) for k, v in arrays.items()}
     for i in range(4):
         pair_tape = Tape()
-        tracked, pair_leaves = leaf_params(SMALL, arrays, pair_tape)
+        tracked, pair_leaves = prepare_batch_params(params, pair_tape)
         res = forward_pair(xp[i], xc[i], tracked, sp, mode="soft",
                            rng=np.random.default_rng(0))
         grads = backward(res.loss)
@@ -282,7 +261,7 @@ def test_full_model_gradients(num_heads, sigma):
     for name in arrays:
         def f(leaf, vary=name):
             vals = {k: (leaf if k == vary else v) for k, v in arrays.items()}
-            mixed = assemble(config, vals)
+            mixed = ModelParams.assemble(config, vals)
             res = forward_pair(x_prev, x_curr, mixed, sp, mode="soft",
                                rng=np.random.default_rng(0))
             return res.loss

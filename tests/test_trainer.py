@@ -174,7 +174,7 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(path)
 
-    path.write_text(good.replace("version=1", "version=2"))
+    path.write_text(good.replace("version=2", "version=3"))
     with pytest.raises(CheckpointError, match="unsupported"):
         load_checkpoint(path)
 
@@ -194,6 +194,29 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
     path.write_text(good[:cut])
     with pytest.raises(CheckpointError, match="missing parameter"):
         load_checkpoint(path)
+
+
+def test_checkpoint_refuses_version_1_and_non_finite_values(tmp_path):
+    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0, gamma=1.0, sigma=0.0,
+                      params=ModelParams.initialize(SMALL, stream(0, "init")))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, path)
+    good = path.read_text()
+
+    # Version 1 stored head matrices (fan_out, fan_in); a square one would
+    # otherwise load transposed without any error.
+    path.write_text(good.replace("version=2", "version=1"))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version=1"):
+        load_checkpoint(path)
+
+    lines = good.splitlines()
+    row = lines.index("param enc0.b 16") + 1
+    for bad in ("nan", "inf", "-inf"):
+        values = lines[row].split()
+        values[3] = bad
+        path.write_text("\n".join([*lines[:row], " ".join(values), *lines[row + 1:]]) + "\n")
+        with pytest.raises(CheckpointError, match="'enc0.b' holds a non-finite value"):
+            load_checkpoint(path)
 
 
 # ---- fit ----
