@@ -120,13 +120,6 @@ class Tape:
     def num_nodes(self) -> int:
         return len(self._values)
 
-    @property
-    def leaf_ids(self) -> tuple[int, ...]:
-        return tuple(self._leaves)
-
-    def value(self, node: int) -> np.ndarray:
-        return self._values[node]
-
     def replay_matches(self) -> bool:
         """Recompute every record from its stored inputs; True when each output is bit-identical."""
         for rec in self.records:

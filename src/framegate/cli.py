@@ -9,84 +9,54 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, sprites
+from . import evaluation, keyvalue, sprites
 from .model import ModelConfig
-from .trainer import (Checkpoint, Schedule, TrainConfig, fit, load_checkpoint,
-                      split_validation)
+from .trainer import (Checkpoint, Schedule, TrainConfig, fit, from_settings, load_checkpoint,
+                      settings, split_validation)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a training run needs besides the dataset and output paths."""
+    """Everything a training run needs besides the dataset and output paths.
 
-    seed: int = 0
+    Besides `epochs` and `image_side`, the fields are the flat run settings
+    of `trainer.settings`, with the defaults of the dataclasses that own them.
+    """
+
+    seed: int = TrainConfig.seed
     epochs: int = 60
     image_side: int | None = None  # usually taken from the dataset manifest
-    latent_dim: int = 32
-    num_heads: int = 1
-    enc_hidden: tuple[int, ...] = (128, 64)
-    dec_hidden: tuple[int, ...] = (64, 128)
-    gate_hidden: int = 64
-    gamma0: float = 10.0
-    gamma_slope: float = 0.25
-    sigma: float = 0.05
-    lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
-    checkpoint_every: int = 20
+    latent_dim: int = ModelConfig.latent_dim
+    num_heads: int = ModelConfig.num_heads
+    enc_hidden: tuple[int, ...] = ModelConfig.enc_hidden
+    dec_hidden: tuple[int, ...] = ModelConfig.dec_hidden
+    gate_hidden: int = ModelConfig.gate_hidden
+    gamma0: float = Schedule.gamma0
+    gamma_slope: float = Schedule.gamma_slope
+    sigma: float = Schedule.sigma
+    lr: float = TrainConfig.lr
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
+    batch_size: int = TrainConfig.batch_size
+    checkpoint_every: int = TrainConfig.checkpoint_every
 
     def train_config(self, image_side: int) -> TrainConfig:
         if self.image_side is not None and self.image_side != image_side:
             raise ValueError(
                 f"config image_side={self.image_side} does not match dataset n={image_side}")
-        model = ModelConfig(image_side=image_side, latent_dim=self.latent_dim,
-                            num_heads=self.num_heads, enc_hidden=self.enc_hidden,
-                            dec_hidden=self.dec_hidden, gate_hidden=self.gate_hidden)
-        schedule = Schedule(gamma0=self.gamma0, gamma_slope=self.gamma_slope, sigma=self.sigma)
-        return TrainConfig(model=model, schedule=schedule, lr=self.lr, beta1=self.beta1,
-                           beta2=self.beta2, eps=self.eps, batch_size=self.batch_size,
-                           seed=self.seed, checkpoint_every=self.checkpoint_every)
-
-
-_INT_KEYS = {"seed", "epochs", "image_side", "latent_dim", "num_heads", "gate_hidden",
-             "batch_size", "checkpoint_every"}
-_FLOAT_KEYS = {"gamma0", "gamma_slope", "sigma", "lr", "beta1", "beta2", "eps"}
-_LIST_KEYS = {"enc_hidden", "dec_hidden"}
+        return from_settings({**asdict(self), "image_side": image_side})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Flat key=value lines; blank lines and # comments are skipped."""
-    values: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{line_no}: expected key=value, got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in values:
-            raise ValueError(f"{source}:{line_no}: duplicate key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-            else:
-                raise ValueError(f"{source}:{line_no}: unknown key {key!r}")
-        except ValueError as err:
-            if "unknown key" in str(err):
-                raise
-            raise ValueError(f"{source}:{line_no}: bad value for {key!r}: {value!r}") from err
-    return RunConfig(**values)
+    """Flat key=value lines (see `keyvalue.read`) naming RunConfig fields."""
+    examples = {**settings(TrainConfig()), "epochs": RunConfig.epochs}
+    return RunConfig(**keyvalue.read(text, examples, source))
 
 
 def load_run_config(path) -> RunConfig:

@@ -160,8 +160,15 @@ class ModelParams:
         return cls.assemble(config, {name: np.array(arrays[name], dtype=np.float64, order="C")
                                      for name in expected})
 
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_named(self.config, self.named())
+
+def _mlp(x: Tensor, weights: list, biases: list) -> Tensor:
+    """Affine layers with a relu after each but the last."""
+    out = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out = apply("add", [apply("matmul", [out, w]), b])
+        if i != len(weights) - 1:
+            out = apply("relu", [out])
+    return out
 
 
 def encode(frame, params) -> Tensor:
@@ -173,26 +180,14 @@ def encode(frame, params) -> Tensor:
     expected = params.enc_w[0].shape[0]
     if x.shape[-1] != expected:
         raise ValueError(f"frame has {x.shape[-1]} pixels, encoder expects {expected}")
-    out = x
-    last = len(params.enc_w) - 1
-    for i, (w, b) in enumerate(zip(params.enc_w, params.enc_b)):
-        out = apply("add", [apply("matmul", [out, w]), b])
-        if i != last:
-            out = apply("relu", [out])
-    return out
+    return _mlp(x, params.enc_w, params.enc_b)
 
 
 def decode(latent, params) -> Tensor:
     """Frame reconstruction from a latent; final activation is a sigmoid,
     so outputs live in (0, 1)."""
     z = latent if isinstance(latent, Tensor) else Tensor(latent)
-    out = z
-    last = len(params.dec_w) - 1
-    for i, (w, b) in enumerate(zip(params.dec_w, params.dec_b)):
-        out = apply("add", [apply("matmul", [out, w]), b])
-        if i != last:
-            out = apply("relu", [out])
-    return apply("sigmoid", [out])
+    return apply("sigmoid", [_mlp(z, params.dec_w, params.dec_b)])
 
 
 @dataclass

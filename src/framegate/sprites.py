@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import keyvalue
 from .streams import stream
 
 FACTORS = ("x", "y", "brightness")
@@ -117,16 +118,9 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
         labels.append(factor)
         payload += _quantize(pair.x_prev).tobytes()
         payload += _quantize(pair.x_curr).tobytes()
-    manifest = "".join([
-        f"version={BINARY_VERSION}\n",
-        f"n={n}\n",
-        f"s={s}\n",
-        f"L={levels}\n",
-        f"count={count}\n",
-        f"seed={seed}\n",
-        f"labels={','.join(labels)}\n",
-    ])
-    (out_dir / MANIFEST_NAME).write_text(manifest)
+    manifest = {"version": BINARY_VERSION, "n": n, "s": s, "L": levels, "count": count,
+                "seed": seed, "labels": ",".join(labels)}
+    (out_dir / MANIFEST_NAME).write_text(keyvalue.write(manifest))
     (out_dir / FRAMES_NAME).write_bytes(bytes(payload))
 
 
@@ -141,24 +135,12 @@ class DatasetInfo:
 
 def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
     """Parse and validate a dataset manifest; returns geometry plus labels."""
-    text = Path(path).read_text()
-    fields: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"manifest line {line_no} is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    required = ("version", "n", "s", "L", "count", "seed", "labels")
-    for key in required:
-        if key not in fields:
-            raise ValueError(f"manifest is missing {key!r}")
-    if int(fields["version"]) != BINARY_VERSION:
+    examples = {"version": 0, "n": 0, "s": 0, "L": 0, "count": 0, "seed": 0, "labels": ""}
+    fields = keyvalue.read(Path(path).read_text(), examples, str(path), complete=True)
+    if fields["version"] != BINARY_VERSION:
         raise ValueError(f"unknown dataset version {fields['version']!r}")
-    info = DatasetInfo(n=int(fields["n"]), s=int(fields["s"]), levels=int(fields["L"]),
-                       count=int(fields["count"]), seed=int(fields["seed"]))
+    info = DatasetInfo(n=fields["n"], s=fields["s"], levels=fields["L"], count=fields["count"],
+                       seed=fields["seed"])
     labels = fields["labels"].split(",") if fields["labels"] else []
     if len(labels) != info.count:
         raise ValueError(f"manifest lists {len(labels)} labels for count={info.count}")

@@ -12,12 +12,12 @@ byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, keyvalue
 from .autodiff import Tape, backward
 from .gating import SharpenParams
 from .model import (ModelConfig, ModelParams, extract_grads, forward_batch,
@@ -53,11 +53,49 @@ def schedule_at(schedule: Schedule, epoch: int) -> tuple[float, float]:
     return schedule.gamma0 + schedule.gamma_slope * epoch, schedule.sigma
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    model: ModelConfig = field(default_factory=ModelConfig)
+    schedule: Schedule = field(default_factory=Schedule)
+    lr: float = 2e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    batch_size: int = 32
+    checkpoint_every: int = 20
+    seed: int = 0
+
+
+_SECTIONS = {"model": ModelConfig, "schedule": Schedule}
+
+
+def settings(config: TrainConfig) -> dict:
+    """Every run setting by its flat key: the fields of ModelConfig, Schedule
+    and TrainConfig in declaration order, the two sections inlined where
+    TrainConfig holds them."""
+    out = {}
+    for f in fields(TrainConfig):
+        value = getattr(config, f.name)
+        if f.name in _SECTIONS:
+            out.update({g.name: getattr(value, g.name) for g in fields(value)})
+        else:
+            out[f.name] = value
+    return out
+
+
+def from_settings(values: dict) -> TrainConfig:
+    """Inverse of `settings`. Every setting must be present; other keys are ignored."""
+    sections = {name: cls(**{f.name: values[f.name] for f in fields(cls)})
+                for name, cls in _SECTIONS.items()}
+    return TrainConfig(**sections, **{f.name: values[f.name] for f in fields(TrainConfig)
+                                      if f.name not in _SECTIONS})
+
+
 class Adam:
     """Adaptive-moment gradient descent over a named set of arrays."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = TrainConfig.lr, beta1: float = TrainConfig.beta1,
+                 beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.lr = lr
@@ -136,19 +174,6 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
     return total / len(pairs)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    schedule: Schedule = field(default_factory=Schedule)
-    lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
-    seed: int = 0
-    checkpoint_every: int = 20
-
-
 @dataclass
 class Checkpoint:
     """Everything needed to restart or evaluate a run. The master seed doubles
@@ -169,40 +194,21 @@ def _format_floats(arr: np.ndarray) -> list[str]:
     return [" ".join(flat[r * cols:(r + 1) * cols]) for r in range(arr.size // cols)]
 
 
+def _header(ckpt: Checkpoint) -> dict:
+    """The key=value header of a checkpoint: every setting, then the epoch state."""
+    return {**settings(ckpt.config), "epoch": ckpt.epoch, "gamma": ckpt.gamma,
+            "sigma_at_epoch": ckpt.sigma}
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Plain-text, lossless serialization (floats via repr round-tripping)."""
-    cfg = ckpt.config
-    lines = [
-        f"{CHECKPOINT_MAGIC} version={CHECKPOINT_VERSION}",
-        f"image_side={cfg.model.image_side}",
-        f"latent_dim={cfg.model.latent_dim}",
-        f"num_heads={cfg.model.num_heads}",
-        f"enc_hidden={','.join(str(w) for w in cfg.model.enc_hidden)}",
-        f"dec_hidden={','.join(str(w) for w in cfg.model.dec_hidden)}",
-        f"gate_hidden={cfg.model.gate_hidden}",
-        f"gamma0={cfg.schedule.gamma0!r}",
-        f"gamma_slope={cfg.schedule.gamma_slope!r}",
-        f"sigma={cfg.schedule.sigma!r}",
-        f"lr={cfg.lr!r}",
-        f"beta1={cfg.beta1!r}",
-        f"beta2={cfg.beta2!r}",
-        f"eps={cfg.eps!r}",
-        f"batch_size={cfg.batch_size}",
-        f"checkpoint_every={cfg.checkpoint_every}",
-        f"seed={cfg.seed}",
-        f"epoch={ckpt.epoch}",
-        f"gamma={ckpt.gamma!r}",
-        f"sigma_at_epoch={ckpt.sigma!r}",
-    ]
+    lines = []
     for name, arr in ckpt.params.named().items():
         shape = " ".join(str(d) for d in arr.shape)
         lines.append(f"param {name} {shape}")
         lines.extend(_format_floats(arr))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+    Path(path).write_text(f"{CHECKPOINT_MAGIC} version={CHECKPOINT_VERSION}\n"
+                          + keyvalue.write(_header(ckpt)) + "\n".join(lines) + "\n")
 
 
 class CheckpointError(ValueError):
@@ -210,7 +216,7 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; errors name the offending key."""
+    """Inverse of save_checkpoint; errors name the offending key or parameter."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("not a checkpoint file")
@@ -218,44 +224,17 @@ def load_checkpoint(path) -> Checkpoint:
     if version != f"version={CHECKPOINT_VERSION}":
         raise CheckpointError(f"unsupported checkpoint {version or 'header'}")
 
-    header: dict[str, str] = {}
     cursor = 1
     while cursor < len(lines) and not lines[cursor].startswith("param "):
-        line = lines[cursor].strip()
         cursor += 1
-        if not line:
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed header line: {line!r}")
-        key, value = line.split("=", 1)
-        header[key] = value
-
-    def need(key: str) -> str:
-        if key not in header:
-            raise CheckpointError(f"missing header key {key!r}")
-        return header[key]
-
-    model = ModelConfig(
-        image_side=int(need("image_side")),
-        latent_dim=int(need("latent_dim")),
-        num_heads=int(need("num_heads")),
-        enc_hidden=_parse_ints(need("enc_hidden")),
-        dec_hidden=_parse_ints(need("dec_hidden")),
-        gate_hidden=int(need("gate_hidden")),
-    )
-    config = TrainConfig(
-        model=model,
-        schedule=Schedule(gamma0=float(need("gamma0")), gamma_slope=float(need("gamma_slope")),
-                          sigma=float(need("sigma"))),
-        lr=float(need("lr")),
-        beta1=float(need("beta1")),
-        beta2=float(need("beta2")),
-        eps=float(need("eps")),
-        batch_size=int(need("batch_size")),
-        seed=int(need("seed")),
-        checkpoint_every=int(need("checkpoint_every")),
-    )
-    expected = ModelParams.shapes(model)
+    examples = _header(Checkpoint(TrainConfig(), epoch=0, gamma=0.0, sigma=0.0, params=None))
+    try:
+        header = keyvalue.read("\n".join(lines[1:cursor]), examples, str(path),
+                               first_line=2, complete=True)
+        config = from_settings(header)
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
+    expected = ModelParams.shapes(config.model)
     arrays: dict[str, np.ndarray] = {}
     names = list(expected)
     slot = 0
@@ -268,7 +247,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"expected a param record, got {line!r}")
         parts = line.split()
         name = parts[1]
-        shape = tuple(int(v) for v in parts[2:])
+        try:
+            shape = tuple(int(v) for v in parts[2:])
+        except ValueError:
+            raise CheckpointError(f"parameter {name!r} has a non-integer shape: {line!r}") from None
         if slot >= len(names):
             raise CheckpointError(f"unexpected parameter {name!r}")
         if name != names[slot]:
@@ -283,8 +265,11 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"parameter {name!r} is truncated")
             row = lines[cursor]
             cursor += 1
-            if row.strip():
+            try:
                 values.extend(float(v) for v in row.split())
+            except ValueError:
+                raise CheckpointError(f"parameter {name!r} holds a non-numeric value: "
+                                      f"{row.strip()!r}") from None
         count = int(np.prod(shape)) if shape else 1
         if len(values) != count:
             raise CheckpointError(f"parameter {name!r} has {len(values)} values, expected {count}")
@@ -294,9 +279,9 @@ def load_checkpoint(path) -> Checkpoint:
         slot += 1
     if slot != len(names):
         raise CheckpointError(f"missing parameter {names[slot]!r}")
-    params = ModelParams.from_named(model, arrays)
-    return Checkpoint(config=config, epoch=int(need("epoch")), gamma=float(need("gamma")),
-                      sigma=float(need("sigma_at_epoch")), params=params)
+    params = ModelParams.from_named(config.model, arrays)
+    return Checkpoint(config=config, epoch=header["epoch"], gamma=header["gamma"],
+                      sigma=header["sigma_at_epoch"], params=params)
 
 
 def _checkpoint_at(config: TrainConfig, params: ModelParams, epoch: int) -> Checkpoint:

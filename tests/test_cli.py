@@ -2,13 +2,15 @@
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from framegate import cli, evaluation
 from framegate.model import ModelConfig, ModelParams
-from framegate.trainer import Checkpoint, load_checkpoint, save_checkpoint
+from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
+                               save_checkpoint, settings)
 
 TINY_CONFIG = """
 # small enough to train in a test
@@ -69,6 +71,28 @@ def test_run_config_checks_dataset_side():
     assert config.train_config(8).model.image_side == 8
     with pytest.raises(ValueError, match="does not match"):
         config.train_config(16)
+
+
+def test_settings_schema_has_one_source():
+    config = TrainConfig(model=ModelConfig(image_side=8, latent_dim=6, num_heads=2,
+                                           enc_hidden=(24, 12), dec_hidden=(10,),
+                                           gate_hidden=5),
+                         schedule=Schedule(gamma0=3.0, gamma_slope=0.5, sigma=0.0),
+                         lr=0.01, batch_size=7, checkpoint_every=3, seed=9)
+    flat = settings(config)
+    assert from_settings(flat) == config
+    assert list(flat) == [*(f.name for f in fields(ModelConfig)),
+                          *(f.name for f in fields(Schedule)),
+                          *(f.name for f in fields(TrainConfig)
+                            if f.name not in ("model", "schedule"))]
+
+    # RunConfig is the one remaining copy of the key list; its defaults are read
+    # from the owning dataclasses, so both must agree key for key.
+    run_defaults = {f.name: f.default for f in fields(cli.RunConfig)
+                    if f.name not in ("epochs", "image_side")}
+    defaults = settings(TrainConfig())
+    del defaults["image_side"]
+    assert run_defaults == defaults
 
 
 # ---- exit codes ----

@@ -170,3 +170,11 @@ def test_manifest_validation(tmp_path):
     manifest.write_text("no separators here\n")
     with pytest.raises(ValueError, match="key=value"):
         read_manifest(manifest)
+
+    manifest.write_text(original + "count=2\n")
+    with pytest.raises(ValueError, match="duplicate key 'count'"):
+        read_manifest(manifest)
+
+    manifest.write_text(original + "frames=2\n")
+    with pytest.raises(ValueError, match="unknown key 'frames'"):
+        read_manifest(manifest)

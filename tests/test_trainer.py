@@ -179,7 +179,30 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
         load_checkpoint(path)
 
     path.write_text(good.replace(f"lr={config.lr!r}\n", ""))
-    with pytest.raises(CheckpointError, match="'lr'"):
+    with pytest.raises(CheckpointError, match="missing key 'lr'"):
+        load_checkpoint(path)
+
+    path.write_text(good.replace(f"lr={config.lr!r}\n", "lr=fast\n"))
+    with pytest.raises(CheckpointError, match="bad value for 'lr'"):
+        load_checkpoint(path)
+
+    path.write_text(good.replace("epoch=0\n", "epoch=0\nseed=5\n"))
+    with pytest.raises(CheckpointError, match="ckpt.txt:19: duplicate key 'seed'"):
+        load_checkpoint(path)
+
+    path.write_text(good.replace("epoch=0\n", "epoch=0\nspeed=5\n"))
+    with pytest.raises(CheckpointError, match="unknown key 'speed'"):
+        load_checkpoint(path)
+
+    path.write_text(good.replace("param enc0.b 16", "param enc0.b sixteen"))
+    with pytest.raises(CheckpointError, match="'enc0.b' has a non-integer shape"):
+        load_checkpoint(path)
+
+    lines = good.splitlines()
+    row = lines.index("param enc0.b 16") + 1
+    lines[row] = lines[row].replace(" ", " x ", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="'enc0.b' holds a non-numeric value"):
         load_checkpoint(path)
 
     path.write_text(good.replace("param enc0.w 64 16", "param enc0.w 64 15"))
