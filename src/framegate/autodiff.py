@@ -12,6 +12,8 @@ distinct threads.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 # Floor applied to scalar-pow bases so fractional and negative exponents stay finite.
@@ -38,15 +40,20 @@ class ShapeMismatch(ValueError):
     """Input shapes do not conform to the requested primitive."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_array(data) -> np.ndarray:
+    if type(data) is np.ndarray and data.dtype is _FLOAT64 and data.flags.c_contiguous:
+        return data
     # order="C" keeps 0-d arrays 0-d (ascontiguousarray would promote them).
-    return np.asarray(data, dtype=np.float64, order="C")
+    return np.asarray(data, dtype=_FLOAT64, order="C")
 
 
 class Tensor:
     """A dense array, optionally tracked as a node on a tape."""
 
-    __slots__ = ("data", "tape", "node", "grad")
+    __slots__ = ("data", "tape", "node", "grad", "__weakref__")
 
     def __init__(self, data, tape: "Tape | None" = None, node: int | None = None):
         self.data = _as_array(data)
@@ -95,12 +102,16 @@ class Tape:
     Node ids are assigned in creation order, so inputs always precede the
     outputs that consume them and the record list is already topologically
     sorted for the backward sweep.
+
+    Leaf handles point at their tape, so the tape holds them only weakly:
+    with no cycle between them, a tape is freed as soon as its last handle
+    goes, rather than at the next full garbage collection.
     """
 
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._differentiable: list[bool] = []
-        self._leaves: dict[int, Tensor] = {}
+        self._leaves: dict[int, weakref.ref] = {}
         self.records: list[Record] = []
 
     def _register(self, value: np.ndarray, differentiable: bool) -> int:
@@ -113,7 +124,7 @@ class Tape:
         arr = _as_array(data)
         node = self._register(arr, True)
         handle = Tensor(arr, tape=self, node=node)
-        self._leaves[node] = handle
+        self._leaves[node] = weakref.ref(handle)
         return handle
 
     @property
@@ -131,11 +142,6 @@ class Tape:
         return True
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ShapeMismatch(message)
-
-
 def _check_elementwise_pair(kind: str, a: np.ndarray, b: np.ndarray, allow_row_broadcast: bool) -> None:
     if a.shape == b.shape:
         return
@@ -150,55 +156,67 @@ def _check_elementwise_pair(kind: str, a: np.ndarray, b: np.ndarray, allow_row_b
 
 
 def _check(kind: str, arrays: list[np.ndarray], attrs: dict) -> None:
+    # Messages are formatted only on failure: apply runs this on every call.
     if kind == "matmul":
-        _require(len(arrays) == 2, "matmul takes exactly two inputs")
+        if len(arrays) != 2:
+            raise ShapeMismatch("matmul takes exactly two inputs")
         a, b = arrays
-        _require(1 <= a.ndim <= 2 and 1 <= b.ndim <= 2,
-                 f"matmul supports vectors and matrices, got {a.shape} and {b.shape}")
-        _require(a.shape[-1] == b.shape[0], f"matmul: shapes {a.shape} and {b.shape} do not conform")
+        if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
+            raise ShapeMismatch(
+                f"matmul supports vectors and matrices, got {a.shape} and {b.shape}")
+        if a.shape[-1] != b.shape[0]:
+            raise ShapeMismatch(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     elif kind in ("add", "sub"):
-        _require(len(arrays) == 2, f"{kind} takes exactly two inputs")
+        if len(arrays) != 2:
+            raise ShapeMismatch(f"{kind} takes exactly two inputs")
         _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=True)
     elif kind == "hadamard":
-        _require(len(arrays) == 2, "hadamard takes exactly two inputs")
+        if len(arrays) != 2:
+            raise ShapeMismatch("hadamard takes exactly two inputs")
         _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=False)
     elif kind == "scalar-pow":
-        _require(len(arrays) == 1, "scalar-pow takes exactly one input")
+        if len(arrays) != 1:
+            raise ShapeMismatch("scalar-pow takes exactly one input")
         if "exponent" not in attrs:
             raise ValueError("scalar-pow needs an 'exponent' attribute")
         float(attrs["exponent"])
     elif kind in ("relu", "tanh", "sigmoid", "sum"):
-        _require(len(arrays) == 1, f"{kind} takes exactly one input")
+        if len(arrays) != 1:
+            raise ShapeMismatch(f"{kind} takes exactly one input")
     elif kind == "softmax":
-        _require(len(arrays) == 1, "softmax takes exactly one input")
+        if len(arrays) != 1:
+            raise ShapeMismatch("softmax takes exactly one input")
         axis = int(attrs.get("axis", -1))
-        _require(-arrays[0].ndim <= axis < arrays[0].ndim,
-                 f"softmax: axis {axis} out of range for shape {arrays[0].shape}")
+        if not -arrays[0].ndim <= axis < arrays[0].ndim:
+            raise ShapeMismatch(f"softmax: axis {axis} out of range for shape {arrays[0].shape}")
     elif kind == "concat":
-        _require(len(arrays) >= 2, "concat takes at least two inputs")
+        if len(arrays) < 2:
+            raise ShapeMismatch("concat takes at least two inputs")
         axis = int(attrs.get("axis", 0))
         first = arrays[0]
-        _require(-first.ndim <= axis < first.ndim,
-                 f"concat: axis {axis} out of range for shape {first.shape}")
+        if not -first.ndim <= axis < first.ndim:
+            raise ShapeMismatch(f"concat: axis {axis} out of range for shape {first.shape}")
         axis = axis % first.ndim
         for other in arrays[1:]:
-            _require(other.ndim == first.ndim,
-                     f"concat: ranks differ, {first.shape} vs {other.shape}")
+            if other.ndim != first.ndim:
+                raise ShapeMismatch(f"concat: ranks differ, {first.shape} vs {other.shape}")
             for d in range(first.ndim):
-                if d != axis:
-                    _require(other.shape[d] == first.shape[d],
-                             f"concat: shapes {first.shape} and {other.shape} disagree off axis {axis}")
+                if d != axis and other.shape[d] != first.shape[d]:
+                    raise ShapeMismatch(f"concat: shapes {first.shape} and {other.shape} "
+                                        f"disagree off axis {axis}")
     elif kind == "slice":
-        _require(len(arrays) == 1, "slice takes exactly one input")
+        if len(arrays) != 1:
+            raise ShapeMismatch("slice takes exactly one input")
         axis = int(attrs["axis"])
         start, stop = attrs["range"]
-        _require(-arrays[0].ndim <= axis < arrays[0].ndim,
-                 f"slice: axis {axis} out of range for shape {arrays[0].shape}")
+        if not -arrays[0].ndim <= axis < arrays[0].ndim:
+            raise ShapeMismatch(f"slice: axis {axis} out of range for shape {arrays[0].shape}")
         extent = arrays[0].shape[axis]
-        _require(0 <= start < stop <= extent,
-                 f"slice: range ({start}, {stop}) invalid for extent {extent}")
+        if not 0 <= start < stop <= extent:
+            raise ShapeMismatch(f"slice: range ({start}, {stop}) invalid for extent {extent}")
     elif kind == "mean-squared-error":
-        _require(len(arrays) == 2, "mean-squared-error takes exactly two inputs")
+        if len(arrays) != 2:
+            raise ShapeMismatch("mean-squared-error takes exactly two inputs")
         _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=False)
     else:
         raise ValueError(f"unknown primitive kind: {kind!r}")
@@ -248,29 +266,43 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Inverse of the row broadcast allowed for add/sub.
     if grad.shape == shape:
         return grad
-    return np.sum(grad, axis=0)
+    return grad.sum(axis=0)
+
+
+def _matmul_grad_a(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if b.ndim == 1:
+        return np.outer(grad, b) if a.ndim == 2 else grad * b
+    return grad @ b.T if a.ndim == 2 else b @ grad
+
+
+def _matmul_grad_b(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim == 1:
+        return np.outer(a, grad) if b.ndim == 2 else grad * a
+    return a.T @ grad
 
 
 def _backward(kind: str, grad: np.ndarray, inputs: list[np.ndarray], attrs: dict,
-              output: np.ndarray) -> list[np.ndarray]:
+              output: np.ndarray, needs: list[bool]) -> list[np.ndarray | None]:
+    """Gradient for each input whose `needs` flag is set, None for the others.
+
+    A record exists only when some input needs a gradient, so single-input
+    kinds always compute theirs.
+    """
     if kind == "matmul":
         a, b = inputs
-        if a.ndim == 2 and b.ndim == 2:
-            return [grad @ b.T, a.T @ grad]
-        if a.ndim == 2 and b.ndim == 1:
-            return [np.outer(grad, b), a.T @ grad]
-        if a.ndim == 1 and b.ndim == 2:
-            return [b @ grad, np.outer(a, grad)]
-        return [grad * b, grad * a]
+        return [_matmul_grad_a(grad, a, b) if needs[0] else None,
+                _matmul_grad_b(grad, a, b) if needs[1] else None]
     if kind == "add":
         a, b = inputs
-        return [_reduce_to(grad, a.shape), _reduce_to(grad, b.shape)]
+        return [_reduce_to(grad, a.shape) if needs[0] else None,
+                _reduce_to(grad, b.shape) if needs[1] else None]
     if kind == "sub":
         a, b = inputs
-        return [_reduce_to(grad, a.shape), -_reduce_to(grad, b.shape)]
+        return [_reduce_to(grad, a.shape) if needs[0] else None,
+                -_reduce_to(grad, b.shape) if needs[1] else None]
     if kind == "hadamard":
         a, b = inputs
-        return [grad * b, grad * a]
+        return [grad * b if needs[0] else None, grad * a if needs[1] else None]
     if kind == "scalar-pow":
         (a,) = inputs
         exponent = float(attrs["exponent"])
@@ -293,11 +325,11 @@ def _backward(kind: str, grad: np.ndarray, inputs: list[np.ndarray], attrs: dict
         axis = int(attrs.get("axis", 0)) % inputs[0].ndim
         grads = []
         offset = 0
-        for arr in inputs:
+        for arr, need in zip(inputs, needs):
             extent = arr.shape[axis]
             index = [slice(None)] * arr.ndim
             index[axis] = slice(offset, offset + extent)
-            grads.append(grad[tuple(index)].copy())
+            grads.append(grad[tuple(index)].copy() if need else None)
             offset += extent
         return grads
     if kind == "slice":
@@ -315,7 +347,7 @@ def _backward(kind: str, grad: np.ndarray, inputs: list[np.ndarray], attrs: dict
     if kind == "mean-squared-error":
         a, b = inputs
         scaled = (a - b) * (2.0 / a.size * float(grad))
-        return [scaled, -scaled]
+        return [scaled if needs[0] else None, -scaled if needs[1] else None]
     raise ValueError(f"unknown primitive kind: {kind!r}")
 
 
@@ -327,34 +359,29 @@ def apply(kind: str, inputs, attrs: dict | None = None) -> Tensor:
     """
     if kind not in PRIMITIVE_KINDS:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    attrs = dict(attrs) if attrs else {}
-    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
+    tensors = []
+    tape: Tape | None = None
+    tracked = False
+    for x in inputs:
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        tensors.append(t)
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif tape is not t.tape:
+                raise ValueError("inputs recorded on different tapes")
+            if t.node is not None and tape._differentiable[t.node]:
+                tracked = True
     arrays = [t.data for t in tensors]
+    attrs = attrs or {}
     _check(kind, arrays, attrs)
     out = _forward(kind, arrays, attrs)
-
-    tape: Tape | None = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ValueError("inputs recorded on different tapes")
-    if tape is None:
-        return Tensor(out)
-    tracked = any(
-        t.tape is tape and t.node is not None and tape._differentiable[t.node]
-        for t in tensors
-    )
     if not tracked:
         return Tensor(out)
-    ids = tuple(
-        t.node if t.tape is tape and t.node is not None else tape._register(t.data, False)
-        for t in tensors
-    )
+    ids = tuple(t.node if t.tape is tape and t.node is not None else tape._register(t.data, False)
+                for t in tensors)
     out_id = tape._register(out, True)
-    tape.records.append(Record(kind, ids, attrs, out_id))
+    tape.records.append(Record(kind, ids, dict(attrs), out_id))
     return Tensor(out, tape=tape, node=out_id)
 
 
@@ -363,7 +390,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
 
     Leaves that the loss does not depend on get zero gradients. A loss with
     no tape (all-constant computation) yields an empty map. Also fills the
-    .grad field of each leaf handle.
+    .grad field of each leaf handle still alive.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -376,18 +403,22 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if out_grad is None:
             continue
         inputs = [tape._values[i] for i in rec.input_ids]
-        in_grads = _backward(rec.kind, out_grad, inputs, rec.attrs, tape._values[rec.output_id])
+        needs = [tape._differentiable[i] for i in rec.input_ids]
+        in_grads = _backward(rec.kind, out_grad, inputs, rec.attrs, tape._values[rec.output_id],
+                             needs)
         for nid, g in zip(rec.input_ids, in_grads):
-            if not tape._differentiable[nid]:
+            if g is None:
                 continue
             held = adjoints.get(nid)
             adjoints[nid] = g if held is None else held + g
     result: dict[int, np.ndarray] = {}
-    for nid, handle in tape._leaves.items():
+    for nid, ref in tape._leaves.items():
         g = adjoints.get(nid)
         if g is None:
             g = np.zeros_like(tape._values[nid])
-        handle.grad = g
+        handle = ref()
+        if handle is not None:
+            handle.grad = g
         result[nid] = g
     return result
 

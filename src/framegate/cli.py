@@ -8,6 +8,8 @@ usage on stderr), 1 for runtime failures (with a diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -73,8 +75,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else RunConfig()
     pairs = sprites.load_dataset(args.data)
-    info, _ = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)
-    fit(config.train_config(info.n), pairs, config.epochs, args.out)
+    if not pairs:
+        raise ValueError(f"dataset {args.data} holds no pairs")
+    fit(config.train_config(math.isqrt(pairs[0].x_prev.size)), pairs, config.epochs, args.out)
     return 0
 
 
@@ -132,9 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--count", type=int, required=True, help="number of frame pairs")
-    gen.add_argument("--side", type=int, default=16, help="frame side length")
-    gen.add_argument("--sprite", type=int, default=4, help="sprite side length")
-    gen.add_argument("--levels", type=int, default=5, help="brightness levels")
+    shape = {name: p.default
+             for name, p in inspect.signature(sprites.generate_dataset).parameters.items()}
+    gen.add_argument("--side", type=int, default=shape["n"],
+                     help="frame side length (default: %(default)s)")
+    gen.add_argument("--sprite", type=int, default=shape["s"],
+                     help="sprite side length (default: %(default)s)")
+    gen.add_argument("--levels", type=int, default=shape["levels"],
+                     help="brightness levels (default: %(default)s)")
     gen.set_defaults(func=_cmd_gen_data)
 
     train = sub.add_parser("train", help="train on a generated dataset")

@@ -49,12 +49,7 @@ def sharpness(params: ModelParams, pairs: list[FramePair], gamma: float) -> floa
     Noise-free: 1/latent_dim for untrained uniform gates, approaching 1.0
     once the gating commits to single components.
     """
-    sp = SharpenParams(gamma=gamma, sigma=0.0)
-    total = 0.0
-    for _, result in _hard_passes(params, pairs):
-        for w in result.w_per_head:
-            total += float(np.max(sharpen(w, sp).data, axis=-1).sum())
-    return total / (len(pairs) * len(params.heads))
+    return hard_mode_stats(params, pairs, gamma)[1]
 
 
 @dataclass(frozen=True)
@@ -239,10 +234,20 @@ def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: floa
 
 def hard_mode_mse(params: ModelParams, pairs: list[FramePair]) -> float:
     """Mean reconstruction error with hard selection, over every pixel of every pair."""
-    total = 0.0
+    return hard_mode_stats(params, pairs, 1.0)[0]
+
+
+def hard_mode_stats(params: ModelParams, pairs: list[FramePair],
+                    gamma: float) -> tuple[float, float]:
+    """(`hard_mode_mse`, `sharpness` at gamma) from one hard-mode pass; both
+    are summed block by block, and over heads within a block."""
+    sp = SharpenParams(gamma=gamma, sigma=0.0)
+    mse = sharp = 0.0
     for chunk, result in _hard_passes(params, pairs):
-        total += result.loss.item() * len(chunk)
-    return total / len(pairs)
+        mse += result.loss.item() * len(chunk)
+        for w in result.w_per_head:
+            sharp += float(np.max(sharpen(w, sp).data, axis=-1).sum())
+    return mse / len(pairs), sharp / (len(pairs) * len(params.heads))
 
 
 def copy_baseline_mse(pairs: list[FramePair]) -> float:

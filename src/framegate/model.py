@@ -9,6 +9,7 @@ current frame from that mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,13 @@ _HEAD_FIELDS = ("w1", "b1", "w2", "b2")
 @dataclass
 class ModelParams:
     """All trainable arrays. Every weight matrix, gating heads included, is
-    stored (fan_in, fan_out), so a row block multiplies it from the left."""
+    stored (fan_in, fan_out), so a row block multiplies it from the left.
+
+    Parameters made by `initialize`, `zeros` and `from_named` own `flat`, one
+    contiguous float64 vector; every array of `named` is a view into it, in
+    `named` order, so an update of `flat` updates the model. Parameters that
+    hold tape leaves (`prepare_batch_params`) have no flat vector.
+    """
 
     config: ModelConfig
     enc_w: list
@@ -64,6 +71,7 @@ class ModelParams:
     dec_w: list
     dec_b: list
     heads: list
+    flat: np.ndarray | None = None
 
     @staticmethod
     def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -81,9 +89,25 @@ class ModelParams:
         return out
 
     @classmethod
-    def assemble(cls, config: ModelConfig, named: dict) -> "ModelParams":
+    def _allocate(cls, config: ModelConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A zero flat vector holding every parameter, and its views by name,
+        laid out in `named` order."""
+        shapes = cls.shapes(config)
+        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        views: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return flat, views
+
+    @classmethod
+    def assemble(cls, config: ModelConfig, named: dict,
+                 flat: np.ndarray | None = None) -> "ModelParams":
         """Parameters from a name -> array (or tape leaf) mapping laid out as
-        `named` returns it. Nothing is copied or checked."""
+        `named` returns it, and the flat vector those arrays view, if any.
+        Nothing is copied or checked."""
         return cls(
             config=config,
             enc_w=[named[f"enc{i}.w"] for i in range(len(config.enc_hidden) + 1)],
@@ -92,6 +116,7 @@ class ModelParams:
             dec_b=[named[f"dec{i}.b"] for i in range(len(config.dec_hidden) + 1)],
             heads=[GatingHead(*(named[f"head{k}.{f}"] for f in _HEAD_FIELDS))
                    for k in range(config.num_heads)],
+            flat=flat,
         )
 
     @classmethod
@@ -108,15 +133,15 @@ class ModelParams:
         drawn (fan_out, fan_in), the layout of version-1 checkpoints, and
         transposed, so each seed keeps its values.
         """
-        arrays = {}
-        for name, shape in cls.shapes(config).items():
-            if len(shape) == 1:
-                arrays[name] = np.zeros(shape)
-            elif name.startswith("head"):
-                arrays[name] = np.ascontiguousarray(_uniform_init(rng, shape[::-1]).T)
+        flat, views = cls._allocate(config)
+        for name, view in views.items():
+            if view.ndim == 1:
+                continue
+            if name.startswith("head"):
+                view[...] = _uniform_init(rng, view.shape[::-1]).T
             else:
-                arrays[name] = _uniform_init(rng, shape)
-        params = cls.assemble(config, arrays)
+                view[...] = _uniform_init(rng, view.shape)
+        params = cls.assemble(config, views, flat)
         if mean_frame is not None:
             mean = np.clip(np.asarray(mean_frame, dtype=np.float64), 1e-3, 1.0 - 1e-3)
             if mean.shape != params.dec_b[-1].shape:
@@ -128,8 +153,8 @@ class ModelParams:
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero parameters; handy as a fixed point in tests."""
-        return cls.assemble(config, {name: np.zeros(shape)
-                                     for name, shape in cls.shapes(config).items()})
+        flat, views = cls._allocate(config)
+        return cls.assemble(config, views, flat)
 
     def named(self) -> dict:
         """Stable name -> live array mapping; mutating the arrays updates the model."""
@@ -157,8 +182,10 @@ class ModelParams:
         extras = set(arrays) - set(expected)
         if extras:
             raise KeyError(f"unexpected parameter {sorted(extras)[0]!r}")
-        return cls.assemble(config, {name: np.array(arrays[name], dtype=np.float64, order="C")
-                                     for name in expected})
+        flat, views = cls._allocate(config)
+        for name, view in views.items():
+            view[...] = arrays[name]
+        return cls.assemble(config, views, flat)
 
 
 def _mlp(x: Tensor, weights: list, biases: list) -> Tensor:

@@ -92,7 +92,11 @@ def from_settings(values: dict) -> TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named set of arrays."""
+    """Adaptive-moment gradient descent over one flat parameter vector.
+
+    The moments `m` and `v` and two scratch vectors are allocated on the
+    first step; every step after that allocates nothing.
+    """
 
     def __init__(self, lr: float = TrainConfig.lr, beta1: float = TrainConfig.beta1,
                  beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps):
@@ -103,23 +107,42 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One in-place update; params maps names to the live arrays."""
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """One in-place update of the flat vector p from its gradient g.
+
+        The elementwise operations are those of
+        p -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        after m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
+        each rounded in that order.
+        """
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameters {p.shape}")
+        if self.m is None:
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            self._scratch = np.empty_like(p), np.empty_like(p)
+        m, v = self.m, self.v
+        step, denom = self._scratch
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, correct1, out=step)
+        step *= self.lr
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        p -= step
 
 
 class TrainingDiverged(RuntimeError):
@@ -147,7 +170,9 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
                 sigma: float, batch_size: int, rng: np.random.Generator) -> float:
     """One pass over the training pairs in a fresh shuffled order.
 
-    The rng drives both the shuffle and the sharpening noise. Returns the
+    Each batch's gradients are gathered into one flat vector laid out like
+    `params.flat`, which Adam then updates in place. The rng drives both the
+    shuffle and the sharpening noise. Returns the
     mean training loss weighted by batch size. Raises TrainingDiverged as
     soon as a batch loss stops being finite, leaving later batches untouched.
     """
@@ -155,9 +180,11 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
         raise ValueError("train_epoch needs a non-empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if params.flat is None:
+        raise ValueError("train_epoch needs parameters that own a flat vector")
     order = rng.permutation(len(pairs))
     sp = SharpenParams(gamma=gamma, sigma=sigma)
-    named = params.named()
+    grad = np.empty_like(params.flat)
     total = 0.0
     for batch_index, start in enumerate(range(0, len(pairs), batch_size)):
         ids = order[start:start + batch_size]
@@ -169,7 +196,8 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
         if not math.isfinite(loss):
             raise TrainingDiverged(batch_index, loss)
         grads = extract_grads(leaves, backward(result.loss))
-        opt.step(named, grads)
+        np.concatenate([g.reshape(-1) for g in grads.values()], out=grad)
+        opt.step(params.flat, grad)
         total += loss * len(ids)
     return total / len(pairs)
 
@@ -315,9 +343,10 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
 
     Writes log.tsv with one tab-separated line per epoch (epoch, gamma,
     sigma, train loss, validation loss, validation sharpness), mirrored to
-    stdout; the validation columns are `evaluation.hard_mode_mse` and
-    `evaluation.sharpness`. Checkpoints land at epoch 0, every checkpoint_every epochs, and
-    at the end; on divergence the files already written stay behind.
+    stdout; both validation columns come from one hard-mode pass,
+    `evaluation.hard_mode_stats`. Checkpoints land at epoch 0, every
+    checkpoint_every epochs, and at the end; on divergence the files
+    already written stay behind.
     Returns the final checkpoint.
     """
     if epochs < 0:
@@ -342,8 +371,7 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
             except TrainingDiverged as err:
                 err.epoch = epoch
                 raise
-            val_loss = evaluation.hard_mode_mse(params, val_pairs)
-            val_sharp = evaluation.sharpness(params, val_pairs, gamma)
+            val_loss, val_sharp = evaluation.hard_mode_stats(params, val_pairs, gamma)
             line = f"{epoch}\t{gamma!r}\t{sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
             log.write(line + "\n")
             log.flush()

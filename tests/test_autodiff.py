@@ -1,10 +1,13 @@
 """Tensor engine: forward values, tape behavior, gradients against central differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from framegate.autodiff import (CLAMP_MIN, PRIMITIVE_KINDS, ShapeMismatch, Tape, Tensor,
-                                apply, backward, constant, grad_check)
+                                _backward, _forward, apply, backward, constant, grad_check)
 from framegate.streams import stream
 
 TOL = 1e-5
@@ -146,6 +149,23 @@ def test_unreachable_leaf_gets_zero_gradient():
     assert np.array_equal(grads[unused.node], [0.0])
 
 
+def test_tape_is_freed_once_its_handles_are_gone():
+    # No reference cycle through the leaves: refcounting alone frees the tape
+    # and every array it recorded, with the cyclic collector off.
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.ones(3))
+        loss = apply("sum", [apply("relu", [x])])
+        backward(loss)
+        assert np.array_equal(x.grad, np.ones(3))
+        freed = weakref.ref(tape)
+        del tape, x, loss
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_node_ids_topologically_ordered():
     tape = Tape()
     x = tape.leaf(np.ones(3))
@@ -173,6 +193,34 @@ def test_no_recording_without_differentiable_inputs():
     out = apply("add", [constant(np.ones(2)), constant(np.ones(2))])
     assert out.node is None
     assert tape.records == []
+
+
+@pytest.mark.parametrize("kind, shapes", [("matmul", ((3, 4), (4, 2))),
+                                          ("matmul", ((4,), (4, 2))),
+                                          ("hadamard", ((2, 3), (2, 3))),
+                                          ("sub", ((2, 3), (3,))),
+                                          ("mean-squared-error", ((5,), (5,)))])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_backward_skips_inputs_that_need_no_gradient(kind, shapes, slot):
+    rng = np.random.default_rng(8)
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    output = _forward(kind, inputs, {})
+    grad = rng.normal(size=output.shape)
+    full = _backward(kind, grad, inputs, {}, output, [True, True])
+    needs = [i != slot for i in range(2)]
+    partial = _backward(kind, grad, inputs, {}, output, needs)
+    assert partial[slot] is None
+    assert np.array_equal(partial[1 - slot], full[1 - slot])
+
+
+def test_tensor_keeps_float64_contiguous_arrays_and_converts_others():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).data is a
+    for other in (a.T, np.arange(6).reshape(2, 3), [[0.0, 1.0]], 2.0):
+        data = Tensor(other).data
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert np.array_equal(data, np.asarray(other, dtype=np.float64))
+    assert Tensor(2.0).data.shape == ()
 
 
 # ---- Frozen oracle values ----

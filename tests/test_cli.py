@@ -1,13 +1,17 @@
 """Command line behavior: subcommands, config files, exit codes."""
 
+import inspect
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framegate import cli, evaluation
+import framegate
+from framegate import cli, evaluation, sprites
 from framegate.model import ModelConfig, ModelParams
 from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
                                save_checkpoint, settings)
@@ -125,13 +129,28 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the same framegate as this process, installed or not.
+    source = str(Path(framegate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "framegate", "gen-data",
                            "--out", str(tmp_path / "ds"), "--seed", "1",
                            "--count", "3", "--side", "8", "--sprite", "2",
                            "--levels", "3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "3 pairs" in proc.stdout
+
+
+def test_gen_data_flag_defaults_come_from_generate_dataset(capsys):
+    args = cli.build_parser().parse_args(["gen-data", "--out", "x", "--seed", "0",
+                                          "--count", "1"])
+    made = inspect.signature(sprites.generate_dataset).parameters
+    defaults = (made["n"].default, made["s"].default, made["levels"].default)
+    assert (args.side, args.sprite, args.levels) == defaults
+    assert cli.run(["gen-data", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    for flag, value in zip(("side", "sprite", "levels"), defaults):
+        assert f"--{flag} {flag.upper()}" in usage and f"(default: {value})" in usage
 
 
 # ---- train / eval / traverse ----

@@ -50,30 +50,70 @@ def test_schedule_validation():
 
 def test_adam_first_step_has_lr_magnitude():
     # With bias correction the very first update is lr * g / (|g| + eps).
-    x = {"x": np.array([1.0, -2.0, 0.5])}
-    g = {"x": np.array([10.0, -0.01, 3.0])}
-    before = x["x"].copy()
+    x = np.array([1.0, -2.0, 0.5])
+    g = np.array([10.0, -0.01, 3.0])
+    before = x.copy()
     Adam(lr=0.05).step(x, g)
-    assert np.allclose(np.abs(before - x["x"]), 0.05, atol=1e-5)
-    assert np.all(np.sign(before - x["x"]) == np.sign(g["x"]))
+    assert np.allclose(np.abs(before - x), 0.05, atol=1e-5)
+    assert np.all(np.sign(before - x) == np.sign(g))
 
 
 def test_adam_minimizes_a_quadratic():
     target = np.array([3.0, -1.0, 0.25, 4.0])
-    x = {"x": np.zeros(4)}
+    x = np.zeros(4)
     opt = Adam(lr=0.1)
     for _ in range(500):
-        opt.step(x, {"x": 2.0 * (x["x"] - target)})
-    assert np.abs(x["x"] - target).max() < 1e-3
+        opt.step(x, 2.0 * (x - target))
+    assert np.abs(x - target).max() < 1e-3
 
 
-def test_adam_updates_in_place_and_tracks_names():
-    arrays = {"a": np.ones(2), "b": np.zeros(3)}
-    live_a = arrays["a"]
+def test_adam_updates_in_place_and_counts_steps():
+    flat = np.ones(5)
+    view = flat[:2]
     opt = Adam(lr=0.01)
-    opt.step(arrays, {"a": np.ones(2), "b": np.ones(3)})
-    assert arrays["a"] is live_a
-    assert set(opt.m) == {"a", "b"} and opt.t == 1
+    opt.step(flat, np.ones(5))
+    assert np.all(view < 1.0)  # a view of p sees the step
+    assert opt.m.shape == opt.v.shape == (5,) and opt.t == 1
+
+
+def per_array_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array update the fused step replaced, kept as its reference."""
+    state["t"] += 1
+    t = state["t"]
+    correct1 = 1.0 - beta1 ** t
+    correct2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+
+
+def test_fused_adam_matches_the_per_array_update_bit_for_bit():
+    shapes = {"w": (7, 5), "b": (5,), "u": (3, 11), "c": (1,)}
+    rng = np.random.default_rng(3)
+    arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+    state = {"t": 0, "m": {}, "v": {}}
+    opt = Adam(lr=2e-3)
+    for _ in range(50):
+        # Gradients over many magnitudes, with exact zeros, so rounding shows.
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, size=shape)
+                 * (rng.random(shape) > 0.1) for name, shape in shapes.items()}
+        per_array_adam(arrays, grads, state, lr=2e-3)
+        opt.step(flat, np.concatenate([g.reshape(-1) for g in grads.values()]))
+    expected = np.concatenate([a.reshape(-1) for a in arrays.values()])
+    assert flat.tobytes() == expected.tobytes()
+    assert opt.t == state["t"] == 50
+
+
+def test_adam_rejects_a_gradient_of_another_shape():
+    with pytest.raises(ValueError, match="gradient shape"):
+        Adam().step(np.zeros(4), np.zeros(3))
 
 
 def test_adam_rejects_negative_lr():
@@ -160,6 +200,28 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert (back.epoch, back.gamma, back.sigma) == (17, 5.25, 0.05)
     named, named_back = params.named(), back.params.named()
     assert all(np.array_equal(named[k], named_back[k]) for k in named)
+
+
+def test_parameters_are_views_of_one_flat_vector_in_named_order(tmp_path):
+    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0, gamma=1.0, sigma=0.0,
+                      params=ModelParams.initialize(SMALL, stream(4, "init")))
+    made = {"initialize": ckpt.params, "zeros": ModelParams.zeros(SMALL),
+            "from_named": ModelParams.from_named(SMALL, ckpt.params.named()),
+            "load_checkpoint": roundtrip(tmp_path, ckpt).params}
+    for how, params in made.items():
+        flat = params.flat
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous, how
+        start = flat.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in params.named().items():
+            assert arr.base is flat and arr.flags.c_contiguous, (how, name)
+            assert arr.__array_interface__["data"][0] == start + 8 * offset, (how, name)
+            offset += arr.size
+        assert offset == flat.size, how
+    # Writing the flat vector is writing the model.
+    params = made["from_named"]
+    params.flat[:] = 0.5
+    assert all(np.all(arr == 0.5) for arr in params.named().values())
 
 
 def test_checkpoint_errors_name_the_problem(tmp_path):
