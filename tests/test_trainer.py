@@ -67,13 +67,17 @@ def test_adam_minimizes_a_quadratic():
     assert np.abs(x - target).max() < 1e-3
 
 
-def test_adam_updates_in_place_and_counts_steps():
-    flat = np.ones(5)
-    view = flat[:2]
+def test_adam_updates_in_place_and_tracks_names():
+    # A step on the flat vector moves every named parameter array in place.
+    params = ModelParams.initialize(SMALL, stream(4, "init"))
+    live = params.named()
+    before = {name: arr.copy() for name, arr in live.items()}
     opt = Adam(lr=0.01)
-    opt.step(flat, np.ones(5))
-    assert np.all(view < 1.0)  # a view of p sees the step
-    assert opt.m.shape == opt.v.shape == (5,) and opt.t == 1
+    opt.step(params.flat, np.ones_like(params.flat))
+    for name, arr in params.named().items():
+        assert arr is live[name], name
+        assert np.all(arr < before[name]), name
+    assert opt.m.shape == opt.v.shape == params.flat.shape and opt.t == 1
 
 
 def per_array_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
