@@ -131,16 +131,6 @@ class Tape:
     def num_nodes(self) -> int:
         return len(self._values)
 
-    def replay_matches(self) -> bool:
-        """Recompute every record from its stored inputs; True when each output is bit-identical."""
-        for rec in self.records:
-            inputs = [self._values[i] for i in rec.input_ids]
-            fresh = _forward(rec.kind, inputs, rec.attrs)
-            stored = self._values[rec.output_id]
-            if fresh.shape != stored.shape or fresh.tobytes() != stored.tobytes():
-                return False
-        return True
-
 
 def _check_elementwise_pair(kind: str, a: np.ndarray, b: np.ndarray, allow_row_broadcast: bool) -> None:
     if a.shape == b.shape:

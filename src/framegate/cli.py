@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, keyvalue, sprites
+from . import atomic, evaluation, keyvalue, sprites
 from .model import ModelConfig
 from .trainer import (Checkpoint, Schedule, TrainConfig, fit, from_settings, load_checkpoint,
                       settings, split_validation)
@@ -97,7 +97,7 @@ def _cmd_eval(args) -> int:
     pairs = sprites.load_dataset(args.data)
     text, _ = _evaluate(ckpt, pairs)
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.txt"
-    out_path.write_text(text)
+    atomic.write_bytes(out_path, text.encode())
     sys.stdout.write(text)
     return 0
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .gating import SharpenParams, hard_select, sharpen
 from .model import ModelParams, decode, encode, forward_pair
 from .sprites import FACTORS, FramePair
@@ -179,7 +180,7 @@ def write_pgm(frame: np.ndarray, path) -> None:
     height, width = arr.shape
     payload = np.floor(arr * 255.0 + 0.5).astype(np.uint8).tobytes()
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+    atomic.write_bytes(path, header + payload)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -3,10 +3,12 @@
 One line per key. The reader skips blank lines and `#` comments and types
 each value after an example value: int, float, str, or a tuple of ints
 written comma-separated. Floats are written with repr, so they read back
-bit-exact.
+bit-exact, and must be finite.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def write(values: dict) -> str:
@@ -31,8 +33,9 @@ def read(text: str, examples: dict, source: str, first_line: int = 1,
     """Values by key, typed like `examples`; only the keys present in text.
 
     Raises ValueError naming source and line for a line without `=`, a key
-    not in examples, a repeated key or a value that does not parse as its
-    type; with `complete`, also for a key of examples that text lacks.
+    not in examples, a repeated key, a value that does not parse as its type
+    or a float that is not finite; with `complete`, also for a key of
+    examples that text lacks.
     """
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=first_line):
@@ -51,6 +54,8 @@ def read(text: str, examples: dict, source: str, first_line: int = 1,
             values[key] = _parse(examples[key], value)
         except ValueError:
             raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from None
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise ValueError(f"{where}: {key!r} must be finite, got {value!r}")
     missing = [key for key in examples if key not in values]
     if complete and missing:
         raise ValueError(f"{source}: missing key {missing[0]!r}")

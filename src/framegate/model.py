@@ -59,7 +59,7 @@ class ModelParams:
     """All trainable arrays. Every weight matrix, gating heads included, is
     stored (fan_in, fan_out), so a row block multiplies it from the left.
 
-    Parameters made by `initialize`, `zeros` and `from_named` own `flat`, one
+    Parameters made by `initialize` and `zeros` own `flat`, one
     contiguous float64 vector; every array of `named` is a view into it, in
     `named` order, so an update of `flat` updates the model. Parameters that
     hold tape leaves (`prepare_batch_params`) have no flat vector.
@@ -152,7 +152,8 @@ class ModelParams:
 
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
-        """All-zero parameters; handy as a fixed point in tests."""
+        """All-zero parameters: a fixed point in tests, and the buffer a
+        checkpoint loads into."""
         flat, views = cls._allocate(config)
         return cls.assemble(config, views, flat)
 
@@ -168,24 +169,6 @@ class ModelParams:
         for k, head in enumerate(self.heads):
             out.update({f"head{k}.{f}": getattr(head, f) for f in _HEAD_FIELDS})
         return out
-
-    @classmethod
-    def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Rebuild from copies of a name -> array mapping, validating names and shapes."""
-        expected = cls.shapes(config)
-        for name, shape in expected.items():
-            if name not in arrays:
-                raise KeyError(f"missing parameter {name!r}")
-            if arrays[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {arrays[name].shape}, expected {shape}")
-        extras = set(arrays) - set(expected)
-        if extras:
-            raise KeyError(f"unexpected parameter {sorted(extras)[0]!r}")
-        flat, views = cls._allocate(config)
-        for name, view in views.items():
-            view[...] = arrays[name]
-        return cls.assemble(config, views, flat)
 
 
 def _mlp(x: Tensor, weights: list, biases: list) -> Tensor:

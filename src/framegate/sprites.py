@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import keyvalue
+from . import atomic, keyvalue
 from .streams import stream
 
 FACTORS = ("x", "y", "brightness")
@@ -120,8 +120,8 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
         payload += _quantize(pair.x_curr).tobytes()
     manifest = {"version": BINARY_VERSION, "n": n, "s": s, "L": levels, "count": count,
                 "seed": seed, "labels": ",".join(labels)}
-    (out_dir / MANIFEST_NAME).write_text(keyvalue.write(manifest))
-    (out_dir / FRAMES_NAME).write_bytes(bytes(payload))
+    atomic.write_bytes(out_dir / MANIFEST_NAME, keyvalue.write(manifest).encode())
+    atomic.write_bytes(out_dir / FRAMES_NAME, bytes(payload))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, keyvalue
+from . import atomic, evaluation, keyvalue
 from .autodiff import Tape, backward
 from .gating import SharpenParams
 from .model import (ModelConfig, ModelParams, extract_grads, forward_batch,
@@ -26,7 +27,8 @@ from .sprites import FramePair
 from .streams import stream
 
 CHECKPOINT_MAGIC = "framegate-checkpoint"
-CHECKPOINT_VERSION = 2  # 2: head matrices stored (fan_in, fan_out)
+CHECKPOINT_VERSION = 3  # 2: head matrices stored (fan_in, fan_out); 3: raw float64 payload
+_PAYLOAD_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,12 @@ class Schedule:
     sigma: float = 0.05
 
     def __post_init__(self):
-        if self.gamma0 < 1.0:
+        # Written `not x >= bound` so that nan is refused too.
+        if not self.gamma0 >= 1.0:
             raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
-        if self.gamma_slope < 0.0:
+        if not self.gamma_slope >= 0.0:
             raise ValueError(f"gamma_slope must be >= 0, got {self.gamma_slope}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -64,6 +67,17 @@ class TrainConfig:
     batch_size: int = 32
     checkpoint_every: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.lr >= 0.0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 _SECTIONS = {"model": ModelConfig, "schedule": Schedule}
@@ -204,8 +218,10 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
 
 @dataclass
 class Checkpoint:
-    """Everything needed to restart or evaluate a run. The master seed doubles
-    as the rng state: every stream is re-derived from (seed, purpose, epoch)."""
+    """The run settings, epoch state and parameters a run evaluates from. It
+    holds no Adam moments, so a run cannot resume from it. The master seed
+    doubles as the rng state: every stream is re-derived from (seed, purpose,
+    epoch)."""
 
     config: TrainConfig
     epoch: int
@@ -214,29 +230,20 @@ class Checkpoint:
     params: ModelParams
 
 
-def _format_floats(arr: np.ndarray) -> list[str]:
-    flat = [repr(float(v)) for v in arr.reshape(-1)]
-    if arr.ndim <= 1:
-        return [" ".join(flat)] if flat else [""]
-    cols = arr.shape[-1]
-    return [" ".join(flat[r * cols:(r + 1) * cols]) for r in range(arr.size // cols)]
-
-
-def _header(ckpt: Checkpoint) -> dict:
-    """The key=value header of a checkpoint: every setting, then the epoch state."""
+def _header(ckpt: Checkpoint, payload: bytes) -> dict:
+    """The key=value header of a checkpoint: every setting, the epoch state,
+    then the sha256 of the payload."""
     return {**settings(ckpt.config), "epoch": ckpt.epoch, "gamma": ckpt.gamma,
-            "sigma_at_epoch": ckpt.sigma}
+            "sigma_at_epoch": ckpt.sigma, "payload_sha256": hashlib.sha256(payload).hexdigest()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Plain-text, lossless serialization (floats via repr round-tripping)."""
-    lines = []
-    for name, arr in ckpt.params.named().items():
-        shape = " ".join(str(d) for d in arr.shape)
-        lines.append(f"param {name} {shape}")
-        lines.extend(_format_floats(arr))
-    Path(path).write_text(f"{CHECKPOINT_MAGIC} version={CHECKPOINT_VERSION}\n"
-                          + keyvalue.write(_header(ckpt)) + "\n".join(lines) + "\n")
+    """The magic line, the key=value header and a blank line, then the
+    payload: `params.flat` as raw little-endian float64, in `named` order."""
+    payload = ckpt.params.flat.astype(_PAYLOAD_DTYPE, copy=False).tobytes()
+    magic = f"{CHECKPOINT_MAGIC} version={CHECKPOINT_VERSION}\n"
+    atomic.write_bytes(path, (magic + keyvalue.write(_header(ckpt, payload)) + "\n").encode()
+                       + payload)
 
 
 class CheckpointError(ValueError):
@@ -244,70 +251,39 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; errors name the offending key or parameter."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
+    """Inverse of save_checkpoint; errors name the offending key or parameter.
+
+    The payload must have the size the header's model settings give and
+    match its sha256, and every value must be finite. The parameters own a
+    fresh flat vector copied from the payload.
+    """
+    first, _, rest = Path(path).read_bytes().partition(b"\n")
+    magic = first.decode("ascii", errors="replace")
+    if not magic.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("not a checkpoint file")
-    version = lines[0].removeprefix(CHECKPOINT_MAGIC).strip()
+    version = magic.removeprefix(CHECKPOINT_MAGIC).strip()
     if version != f"version={CHECKPOINT_VERSION}":
         raise CheckpointError(f"unsupported checkpoint {version or 'header'}")
 
-    cursor = 1
-    while cursor < len(lines) and not lines[cursor].startswith("param "):
-        cursor += 1
-    examples = _header(Checkpoint(TrainConfig(), epoch=0, gamma=0.0, sigma=0.0, params=None))
+    text, _, payload = rest.partition(b"\n\n")
+    examples = _header(Checkpoint(TrainConfig(), epoch=0, gamma=0.0, sigma=0.0, params=None), b"")
     try:
-        header = keyvalue.read("\n".join(lines[1:cursor]), examples, str(path),
+        header = keyvalue.read(text.decode("ascii", errors="replace"), examples, str(path),
                                first_line=2, complete=True)
         config = from_settings(header)
     except ValueError as err:
         raise CheckpointError(str(err)) from None
-    expected = ModelParams.shapes(config.model)
-    arrays: dict[str, np.ndarray] = {}
-    names = list(expected)
-    slot = 0
-    while cursor < len(lines):
-        line = lines[cursor].strip()
-        cursor += 1
-        if not line:
-            continue
-        if not line.startswith("param "):
-            raise CheckpointError(f"expected a param record, got {line!r}")
-        parts = line.split()
-        name = parts[1]
-        try:
-            shape = tuple(int(v) for v in parts[2:])
-        except ValueError:
-            raise CheckpointError(f"parameter {name!r} has a non-integer shape: {line!r}") from None
-        if slot >= len(names):
-            raise CheckpointError(f"unexpected parameter {name!r}")
-        if name != names[slot]:
-            raise CheckpointError(f"unexpected parameter {name!r} (expected {names[slot]!r})")
-        want = expected[name]
-        if shape != want:
-            raise CheckpointError(f"parameter {name!r} has shape {shape}, expected {want}")
-        rows = shape[0] if len(shape) == 2 else 1
-        values: list[float] = []
-        for _ in range(rows):
-            if cursor >= len(lines):
-                raise CheckpointError(f"parameter {name!r} is truncated")
-            row = lines[cursor]
-            cursor += 1
-            try:
-                values.extend(float(v) for v in row.split())
-            except ValueError:
-                raise CheckpointError(f"parameter {name!r} holds a non-numeric value: "
-                                      f"{row.strip()!r}") from None
-        count = int(np.prod(shape)) if shape else 1
-        if len(values) != count:
-            raise CheckpointError(f"parameter {name!r} has {len(values)} values, expected {count}")
-        arrays[name] = np.array(values).reshape(shape)
-        if not np.isfinite(arrays[name]).all():
+    params = ModelParams.zeros(config.model)
+    if len(payload) != params.flat.nbytes:
+        state = "truncated" if len(payload) < params.flat.nbytes else "oversized"
+        raise CheckpointError(f"payload is {state}: {len(payload)} bytes, "
+                              f"expected {params.flat.nbytes}")
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise CheckpointError("payload does not match payload_sha256")
+    params.flat[:] = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE)
+    for name, arr in params.named().items():
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-        slot += 1
-    if slot != len(names):
-        raise CheckpointError(f"missing parameter {names[slot]!r}")
-    params = ModelParams.from_named(config.model, arrays)
     return Checkpoint(config=config, epoch=header["epoch"], gamma=header["gamma"],
                       sigma=header["sigma_at_epoch"], params=params)
 

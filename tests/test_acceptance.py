@@ -8,6 +8,7 @@ once per session by the `world` fixture. A failing criterion fails its
 test; nothing here masks a miss.
 """
 
+import multiprocessing
 import time
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from framegate.autodiff import apply, constant, grad_check
 from framegate.gating import SharpenParams, sharpen
 from framegate.model import ModelConfig, ModelParams, forward_pair
 from framegate.sprites import generate_dataset, load_dataset
-from framegate.trainer import fit, split_validation
+from framegate.trainer import fit, load_checkpoint, split_validation
 
 SEEDS = (0, 1, 2, 3, 4)
 EPOCHS = 60
@@ -33,23 +34,36 @@ def accept_config(seed):
     return cli.RunConfig(seed=seed).train_config(16)
 
 
+def fit_seed(seed, data_dir, out):
+    """One acceptance fit, run in a worker process; returns its wall time."""
+    pairs = load_dataset(data_dir)
+    started = time.perf_counter()
+    fit(accept_config(seed), pairs, EPOCHS, out, quiet=True)
+    return time.perf_counter() - started
+
+
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
+    """The five seeds train in two spawned workers with one BLAS thread each;
+    criterion 7 reruns seed 0 here with the default threads and compares
+    every file byte for byte."""
     root = tmp_path_factory.mktemp("acceptance")
     data_dir = root / "data"
     generate_dataset(data_dir, count=3000, seed=7)
     pairs = load_dataset(data_dir)
     val = split_validation(pairs)[1]
+    jobs = [(seed, data_dir, root / f"run_{seed}") for seed in SEEDS]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")  # read when a worker loads numpy
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            elapsed = pool.starmap(fit_seed, jobs, chunksize=1)
     runs = {}
-    for seed in SEEDS:
-        out = root / f"run_{seed}"
-        started = time.perf_counter()
-        final = fit(accept_config(seed), pairs, EPOCHS, out, quiet=True)
-        elapsed = time.perf_counter() - started
+    for (seed, _, out), seconds in zip(jobs, elapsed):
+        final = load_checkpoint(out / "checkpoint_final.txt")
         runs[seed] = SimpleNamespace(
             out=out,
             final=final,
-            elapsed=elapsed,
+            elapsed=seconds,
             sharp=evaluation.sharpness(final.params, val, final.gamma),
             mse=evaluation.hard_mode_mse(final.params, val),
             report=evaluation.consistency(final.params, val),

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -116,6 +117,21 @@ def test_runtime_failures_exit_1(tmp_path, capsys):
     assert cli.run(["gen-data", "--out", str(tmp_path / "d"), "--seed", "0",
                     "--count", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line,key", [
+    ("sigma = nan", "sigma"), ("eps = -1.0", "eps"), ("lr = nan", "lr"),
+    ("gamma0 = inf", "gamma0"), ("beta1 = 1.0", "beta1"), ("batch_size = 0", "batch_size")])
+def test_train_refuses_bad_settings_before_writing(tmp_path, capsys, line, key):
+    data = gen(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    kept = [text for text in TINY_CONFIG.splitlines() if not text.startswith(("epochs", key))]
+    cfg.write_text("\n".join([*kept, "epochs = 1", line]) + "\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+    assert re.search(f"'?{key}'? must be", capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---- gen-data ----
@@ -243,10 +259,9 @@ def test_traverse_argument_validation(tmp_path, capsys):
 def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     data = gen(tmp_path)
     ckpt = train(tmp_path, data) / "checkpoint_final.txt"
-    lines = ckpt.read_text().splitlines()
-    row = lines.index("param enc0.b 16") + 1
-    lines[row] = " ".join(["nan", "inf", *lines[row].split()[2:]])
-    ckpt.write_text("\n".join(lines) + "\n")
+    trained = load_checkpoint(ckpt)
+    trained.params.enc_b[0][:2] = [np.nan, np.inf]
+    save_checkpoint(trained, ckpt)
     capsys.readouterr()
     assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
     assert "'enc0.b' holds a non-finite value" in capsys.readouterr().err

@@ -57,25 +57,10 @@ def test_initialize_deterministic_in_seed():
 
 def test_named_round_trip():
     params = ModelParams.initialize(SMALL, np.random.default_rng(1))
-    rebuilt = ModelParams.from_named(SMALL, params.named())
-    assert all(np.array_equal(v, rebuilt.named()[k]) for k, v in params.named().items())
-
-
-def test_from_named_rejects_bad_keys_and_shapes():
-    params = ModelParams.initialize(SMALL, np.random.default_rng(2))
-    arrays = params.named()
-    missing = dict(arrays)
-    missing.pop("enc0.w")
-    with pytest.raises(KeyError, match="enc0.w"):
-        ModelParams.from_named(SMALL, missing)
-    extra = dict(arrays)
-    extra["enc9.w"] = np.zeros((2, 2))
-    with pytest.raises(KeyError, match="enc9.w"):
-        ModelParams.from_named(SMALL, extra)
-    bad = dict(arrays)
-    bad["dec0.b"] = np.zeros(3)
-    with pytest.raises(ValueError, match="dec0.b"):
-        ModelParams.from_named(SMALL, bad)
+    rebuilt = ModelParams.assemble(SMALL, params.named(), params.flat)
+    assert list(rebuilt.named()) == list(ModelParams.shapes(SMALL))
+    assert all(rebuilt.named()[k] is v for k, v in params.named().items())
+    assert rebuilt.flat is params.flat
 
 
 # ---- encode / decode ----
