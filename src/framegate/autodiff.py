@@ -12,8 +12,6 @@ distinct threads.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 # Floor applied to scalar-pow bases so fractional and negative exponents stay finite.
@@ -53,13 +51,12 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """A dense array, optionally tracked as a node on a tape."""
 
-    __slots__ = ("data", "tape", "node", "grad", "__weakref__")
+    __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape: "Tape | None" = None, node: int | None = None):
         self.data = _as_array(data)
         self.tape = tape
         self.node = node
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,15 +100,15 @@ class Tape:
     outputs that consume them and the record list is already topologically
     sorted for the backward sweep.
 
-    Leaf handles point at their tape, so the tape holds them only weakly:
-    with no cycle between them, a tape is freed as soon as its last handle
+    Leaf handles point at their tape and the tape keeps only their node ids,
+    so with no cycle between them a tape is freed as soon as its last handle
     goes, rather than at the next full garbage collection.
     """
 
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._differentiable: list[bool] = []
-        self._leaves: dict[int, weakref.ref] = {}
+        self._leaves: list[int] = []
         self.records: list[Record] = []
 
     def _register(self, value: np.ndarray, differentiable: bool) -> int:
@@ -123,9 +120,8 @@ class Tape:
         """Register a differentiable leaf (a parameter) and return its handle."""
         arr = _as_array(data)
         node = self._register(arr, True)
-        handle = Tensor(arr, tape=self, node=node)
-        self._leaves[node] = weakref.ref(handle)
-        return handle
+        self._leaves.append(node)
+        return Tensor(arr, tape=self, node=node)
 
     @property
     def num_nodes(self) -> int:
@@ -378,9 +374,9 @@ def apply(kind: str, inputs, attrs: dict | None = None) -> Tensor:
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss with respect to every leaf on its tape.
 
-    Leaves that the loss does not depend on get zero gradients. A loss with
-    no tape (all-constant computation) yields an empty map. Also fills the
-    .grad field of each leaf handle still alive.
+    The map is keyed by leaf node id. Leaves that the loss does not depend
+    on get zero gradients. A loss with no tape (all-constant computation)
+    yields an empty map.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -401,16 +397,8 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
                 continue
             held = adjoints.get(nid)
             adjoints[nid] = g if held is None else held + g
-    result: dict[int, np.ndarray] = {}
-    for nid, ref in tape._leaves.items():
-        g = adjoints.get(nid)
-        if g is None:
-            g = np.zeros_like(tape._values[nid])
-        handle = ref()
-        if handle is not None:
-            handle.grad = g
-        result[nid] = g
-    return result
+    return {nid: adjoints[nid] if nid in adjoints else np.zeros_like(tape._values[nid])
+            for nid in tape._leaves}
 
 
 def grad_check(f, point, step: float = 1e-6) -> float:

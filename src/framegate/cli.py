@@ -81,21 +81,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _evaluate(ckpt: Checkpoint, pairs):
+def _evaluate(ckpt: Checkpoint, pairs) -> str:
+    """The eval report over the validation split, from one hard-mode pass."""
     val = split_validation(pairs)[1]
     if not val:
         raise ValueError("dataset too small to hold out a validation split")
-    sharp = evaluation.sharpness(ckpt.params, val, ckpt.gamma)
-    report = evaluation.consistency(ckpt.params, val)
-    val_mse = evaluation.hard_mode_mse(ckpt.params, val)
-    baseline = evaluation.copy_baseline_mse(val)
-    return evaluation.format_report(ckpt.gamma, sharp, val_mse, baseline, report), report
+    passed = evaluation.hard_pass(ckpt.params, val)
+    return evaluation.format_report(ckpt.gamma, evaluation.sharpness(passed, ckpt.gamma),
+                                    evaluation.hard_mode_mse(passed),
+                                    evaluation.copy_baseline_mse(val),
+                                    evaluation.consistency(passed))
 
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     pairs = sprites.load_dataset(args.data)
-    text, _ = _evaluate(ckpt, pairs)
+    text = _evaluate(ckpt, pairs)
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.txt"
     atomic.write_bytes(out_path, text.encode())
     sys.stdout.write(text)

@@ -1,10 +1,11 @@
 """Evaluation: gate sharpness, factor consistency, latent traversals, PGM output.
 
 Everything here runs with the noise off and, where a discrete choice is
-needed, uses the hard argmax selection. Pair lists are evaluated in row
-blocks of up to 256 pairs, one hard-mode `forward_pair` per block. Frames
-go to disk as binary PGM (P5) images so the traversal grids can be
-eyeballed anywhere.
+needed, uses the hard argmax selection. `hard_pass` runs a pair list once,
+in row blocks of up to 256 pairs with one hard-mode `forward_pair` each;
+`sharpness`, `hard_mode_mse` and `consistency` are reductions of its
+result. Frames go to disk as binary PGM (P5) images so the traversal grids
+can be eyeballed anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import atomic
 from .gating import SharpenParams, hard_select, sharpen
-from .model import ModelParams, decode, encode, forward_pair
+from .model import ForwardResult, ModelParams, decode, encode, forward_pair
 from .sprites import FACTORS, FramePair
 
 _BLOCK = 256  # pairs per evaluated row block
@@ -31,11 +32,14 @@ def _blocks(pairs: list[FramePair]):
         yield chunk, np.stack([p.x_prev for p in chunk]), np.stack([p.x_curr for p in chunk])
 
 
-def _hard_passes(params: ModelParams, pairs: list[FramePair]):
-    """(pairs, hard-mode ForwardResult) for each block."""
+Passed = list[tuple[list[FramePair], ForwardResult]]  # what `hard_pass` returns
+
+
+def hard_pass(params: ModelParams, pairs: list[FramePair]) -> Passed:
+    """(pairs, hard-mode ForwardResult) for each block of a non-empty pair list."""
     sp = SharpenParams(gamma=1.0, sigma=0.0)
-    for chunk, x_prev, x_curr in _blocks(pairs):
-        yield chunk, forward_pair(x_prev, x_curr, params, sp, mode="hard")
+    return [(chunk, forward_pair(x_prev, x_curr, params, sp, mode="hard"))
+            for chunk, x_prev, x_curr in _blocks(pairs)]
 
 
 def _check_component(params: ModelParams, component: int) -> None:
@@ -44,13 +48,27 @@ def _check_component(params: ModelParams, component: int) -> None:
         raise ValueError(f"component {component} out of range for latent_dim {d}")
 
 
-def sharpness(params: ModelParams, pairs: list[FramePair], gamma: float) -> float:
-    """Mean over pairs and heads of the largest sharpened gate weight.
+def sharpness(passed: Passed, gamma: float) -> float:
+    """Mean over pairs and heads of the largest gate weight sharpened at gamma,
+    summed block by block and over heads within a block.
 
     Noise-free: 1/latent_dim for untrained uniform gates, approaching 1.0
     once the gating commits to single components.
     """
-    return hard_mode_stats(params, pairs, gamma)[1]
+    sp = SharpenParams(gamma=gamma, sigma=0.0)
+    total = 0.0
+    for _, result in passed:
+        for w in result.w_per_head:
+            total += float(np.max(sharpen(w, sp).data, axis=-1).sum())
+    return total / (sum(len(chunk) for chunk, _ in passed) * len(passed[0][1].w_per_head))
+
+
+def hard_mode_mse(passed: Passed) -> float:
+    """Mean reconstruction error with hard selection, over every pixel of every pair."""
+    total = 0.0
+    for chunk, result in passed:
+        total += result.loss.item() * len(chunk)
+    return total / sum(len(chunk) for chunk, _ in passed)
 
 
 @dataclass(frozen=True)
@@ -76,7 +94,7 @@ class ConsistencyReport:
         raise KeyError(f"no pairs with factor {factor!r}")
 
 
-def consistency(params: ModelParams, pairs: list[FramePair]) -> ConsistencyReport:
+def consistency(passed: Passed) -> ConsistencyReport:
     """Hard-selection agreement per factor.
 
     For every pair each head picks one component. A factor's modal index is
@@ -85,11 +103,12 @@ def consistency(params: ModelParams, pairs: list[FramePair]) -> ConsistencyRepor
     Factors with no pairs are omitted and listed as such.
     """
     picks: dict[str, list[np.ndarray]] = {f: [] for f in FACTORS}
-    for chunk, result in _hard_passes(params, pairs):
+    for chunk, result in passed:
         selected = np.stack([hard_select(w) for w in result.w_per_head], axis=1)
         for pair, row in zip(chunk, selected):
             picks[pair.changed_factor].append(row)
 
+    latent_dim = passed[0][1].w_per_head[0].shape[-1]
     stats: list[FactorStats] = []
     omitted: list[str] = []
     for factor in FACTORS:
@@ -97,7 +116,7 @@ def consistency(params: ModelParams, pairs: list[FramePair]) -> ConsistencyRepor
             omitted.append(factor)
             continue
         rows = np.stack(picks[factor])  # (pairs, heads)
-        modal = int(np.argmax(np.bincount(rows.ravel(), minlength=params.config.latent_dim)))
+        modal = int(np.argmax(np.bincount(rows.ravel(), minlength=latent_dim)))
         hits = int((rows == modal).any(axis=1).sum())
         stats.append(FactorStats(factor=factor, modal_index=modal,
                                  agreement=hits / len(rows), count=len(rows)))
@@ -231,24 +250,6 @@ def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: floa
         lines.append(f"{factor}\tomitted\t-\t0")
     lines.append(f"distinct_modal_indices\t{str(report.distinct_modal_indices).lower()}")
     return "\n".join(lines) + "\n"
-
-
-def hard_mode_mse(params: ModelParams, pairs: list[FramePair]) -> float:
-    """Mean reconstruction error with hard selection, over every pixel of every pair."""
-    return hard_mode_stats(params, pairs, 1.0)[0]
-
-
-def hard_mode_stats(params: ModelParams, pairs: list[FramePair],
-                    gamma: float) -> tuple[float, float]:
-    """(`hard_mode_mse`, `sharpness` at gamma) from one hard-mode pass; both
-    are summed block by block, and over heads within a block."""
-    sp = SharpenParams(gamma=gamma, sigma=0.0)
-    mse = sharp = 0.0
-    for chunk, result in _hard_passes(params, pairs):
-        mse += result.loss.item() * len(chunk)
-        for w in result.w_per_head:
-            sharp += float(np.max(sharpen(w, sp).data, axis=-1).sum())
-    return mse / len(pairs), sharp / (len(pairs) * len(params.heads))
 
 
 def copy_baseline_mse(pairs: list[FramePair]) -> float:

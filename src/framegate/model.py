@@ -268,15 +268,9 @@ def _gated(latent_prev: Tensor, latent_curr: Tensor, target: Tensor, params,
                          latent_prev=latent_prev, latent_curr=latent_curr, mixed=mixed)
 
 
-def prepare_batch_params(params: ModelParams, tape: Tape | None = None):
-    """Parameters for one pass, and the tape leaves by name.
-
-    With a tape, every array is registered as a leaf and the returned
-    parameters hold the leaves. Without one the arrays pass through as
-    constants for pure evaluation, and no leaves are returned.
-    """
-    if tape is None:
-        return params, {}
+def prepare_batch_params(params: ModelParams, tape: Tape):
+    """Every array registered as a leaf on the tape: parameters that hold the
+    leaves, and the leaves by name."""
     leaves = {name: tape.leaf(arr) for name, arr in params.named().items()}
     return ModelParams.assemble(params.config, leaves), leaves
 

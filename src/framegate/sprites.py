@@ -104,11 +104,13 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
 
     Pair i draws from stream(seed, i) and changes factor i mod 3, so any
     pair can be regenerated without the rest and reruns are byte-identical.
+    Every pair is drawn before out_dir is made, so bad arguments leave no
+    directory behind.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     labels = []
     payload = bytearray()
     payload.append(BINARY_VERSION)
@@ -120,6 +122,8 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
         payload += _quantize(pair.x_curr).tobytes()
     manifest = {"version": BINARY_VERSION, "n": n, "s": s, "L": levels, "count": count,
                 "seed": seed, "labels": ",".join(labels)}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic.write_bytes(out_dir / MANIFEST_NAME, keyvalue.write(manifest).encode())
     atomic.write_bytes(out_dir / FRAMES_NAME, bytes(payload))
 

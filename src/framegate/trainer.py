@@ -78,6 +78,9 @@ class TrainConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("checkpoint_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 _SECTIONS = {"model": ModelConfig, "schedule": Schedule}
@@ -319,8 +322,8 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
 
     Writes log.tsv with one tab-separated line per epoch (epoch, gamma,
     sigma, train loss, validation loss, validation sharpness), mirrored to
-    stdout; both validation columns come from one hard-mode pass,
-    `evaluation.hard_mode_stats`. Checkpoints land at epoch 0, every
+    stdout; both validation columns reduce one `evaluation.hard_pass` over
+    the validation split. Checkpoints land at epoch 0, every
     checkpoint_every epochs, and at the end; on divergence the files
     already written stay behind.
     Returns the final checkpoint.
@@ -347,7 +350,9 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
             except TrainingDiverged as err:
                 err.epoch = epoch
                 raise
-            val_loss, val_sharp = evaluation.hard_mode_stats(params, val_pairs, gamma)
+            passed = evaluation.hard_pass(params, val_pairs)
+            val_loss = evaluation.hard_mode_mse(passed)
+            val_sharp = evaluation.sharpness(passed, gamma)
             line = f"{epoch}\t{gamma!r}\t{sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
             log.write(line + "\n")
             log.flush()

@@ -60,13 +60,14 @@ def world(tmp_path_factory):
     runs = {}
     for (seed, _, out), seconds in zip(jobs, elapsed):
         final = load_checkpoint(out / "checkpoint_final.txt")
+        passed = evaluation.hard_pass(final.params, val)
         runs[seed] = SimpleNamespace(
             out=out,
             final=final,
             elapsed=seconds,
-            sharp=evaluation.sharpness(final.params, val, final.gamma),
-            mse=evaluation.hard_mode_mse(final.params, val),
-            report=evaluation.consistency(final.params, val),
+            sharp=evaluation.sharpness(passed, final.gamma),
+            mse=evaluation.hard_mode_mse(passed),
+            report=evaluation.consistency(passed),
         )
     return SimpleNamespace(root=root, data_dir=data_dir, pairs=pairs, val=val,
                            baseline=evaluation.copy_baseline_mse(val), runs=runs)

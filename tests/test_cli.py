@@ -13,7 +13,8 @@ import pytest
 
 import framegate
 from framegate import cli, evaluation, sprites
-from framegate.model import ModelConfig, ModelParams
+from framegate.model import ModelConfig, ModelParams, forward_pair
+from framegate.streams import stream
 from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
                                save_checkpoint, settings)
 
@@ -121,7 +122,8 @@ def test_runtime_failures_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("line,key", [
     ("sigma = nan", "sigma"), ("eps = -1.0", "eps"), ("lr = nan", "lr"),
-    ("gamma0 = inf", "gamma0"), ("beta1 = 1.0", "beta1"), ("batch_size = 0", "batch_size")])
+    ("gamma0 = inf", "gamma0"), ("beta1 = 1.0", "beta1"), ("batch_size = 0", "batch_size"),
+    ("seed = -1", "seed"), ("checkpoint_every = -3", "checkpoint_every")])
 def test_train_refuses_bad_settings_before_writing(tmp_path, capsys, line, key):
     data = gen(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -155,6 +157,18 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "3 pairs" in proc.stdout
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--seed", "0", "--sprite", "9"], "sprite side 9"),
+    (["--seed", "0", "--levels", "1"], "at least 2 brightness levels")],
+    ids=["seed", "sprite", "levels"])
+def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "ds"
+    assert cli.run(["gen-data", "--out", str(out), "--count", "3", "--side", "8", *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_flag_defaults_come_from_generate_dataset(capsys):
@@ -266,3 +280,25 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
     assert "'enc0.b' holds a non-finite value" in capsys.readouterr().err
     assert not (ckpt.parent / "eval_report.txt").exists()
+
+
+def test_eval_runs_one_hard_pass(tmp_path, capsys, monkeypatch):
+    # 3,000 pairs hold out 300 for validation: two row blocks, so one pass
+    # over them calls forward_pair twice.
+    data = gen(tmp_path, count=3000)
+    config = cli.RunConfig(image_side=8, latent_dim=6, enc_hidden=(16,),
+                           dec_hidden=(16,), gate_hidden=8).train_config(8)
+    path = tmp_path / "init.txt"
+    save_checkpoint(Checkpoint(config=config, epoch=0, gamma=1.0, sigma=0.0,
+                               params=ModelParams.initialize(config.model, stream(0, "init"))),
+                    path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return forward_pair(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward_pair", counted)
+    assert cli.run(["eval", "--checkpoint", str(path), "--data", str(data)]) == 0
+    capsys.readouterr()
+    assert calls == [256, 44]

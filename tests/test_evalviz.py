@@ -25,24 +25,24 @@ def test_sharpness_of_untrained_gate_is_uniform():
     # for any exponent (the rescaled base is all ones).
     config = ModelConfig(image_side=16, latent_dim=32, num_heads=1)
     params = ModelParams.zeros(config)
-    pairs = sprite_pairs(0, 6, n=16)
+    passed = evaluation.hard_pass(params, sprite_pairs(0, 6, n=16))
     for gamma in (1.0, 4.0, 16.0):
-        assert evaluation.sharpness(params, pairs, gamma) == 0.03125
+        assert evaluation.sharpness(passed, gamma) == 0.03125
 
 
 def test_sharpness_approaches_one_for_committed_gates():
     params = ModelParams.initialize(SMALL, stream(7, "init"))
-    pairs = sprite_pairs(7, 6)
-    soft = evaluation.sharpness(params, pairs, 1.0)
-    sharp = evaluation.sharpness(params, pairs, 1024.0)
+    passed = evaluation.hard_pass(params, sprite_pairs(7, 6))
+    soft = evaluation.sharpness(passed, 1.0)
+    sharp = evaluation.sharpness(passed, 1024.0)
     assert 1.0 / SMALL.latent_dim <= soft < sharp <= 1.0
     assert sharp > 0.99
 
 
-def test_sharpness_validation():
+def test_hard_pass_validation():
     params = ModelParams.zeros(SMALL)
     with pytest.raises(ValueError, match="non-empty"):
-        evaluation.sharpness(params, [], 1.0)
+        evaluation.hard_pass(params, [])
 
 
 # ---- consistency ----
@@ -51,7 +51,7 @@ def test_consistency_on_uniform_gates_picks_lowest_index():
     # Uniform weights tie everywhere; hard selection resolves ties to index
     # zero, so every factor agrees perfectly on the same component.
     params = ModelParams.zeros(SMALL)
-    report = evaluation.consistency(params, sprite_pairs(1, 9))
+    report = evaluation.consistency(evaluation.hard_pass(params, sprite_pairs(1, 9)))
     assert [s.factor for s in report.factors] == ["x", "y", "brightness"]
     for stats in report.factors:
         assert stats.modal_index == 0
@@ -64,13 +64,11 @@ def test_consistency_on_uniform_gates_picks_lowest_index():
 def test_consistency_lists_missing_factors():
     params = ModelParams.zeros(SMALL)
     only_x = [p for p in sprite_pairs(2, 12) if p.changed_factor == "x"]
-    report = evaluation.consistency(params, only_x)
+    report = evaluation.consistency(evaluation.hard_pass(params, only_x))
     assert report.omitted == ["y", "brightness"]
     assert report.stats_for("x").count == len(only_x)
     with pytest.raises(KeyError):
         report.stats_for("y")
-    with pytest.raises(ValueError, match="non-empty"):
-        evaluation.consistency(params, [])
 
 
 # ---- row blocks against the per-pair loop ----
@@ -90,9 +88,11 @@ def test_block_evaluation_matches_the_per_pair_loop():
         losses.append(result.loss.item())
         maxima += [float(sharpen(w, sp).data.max()) for w in result.w_per_head]
         picks[pair.changed_factor].append([int(np.argmax(w.data)) for w in result.w_per_head])
-    assert abs(evaluation.hard_mode_mse(params, pairs) - np.mean(losses)) < 1e-12
-    assert abs(evaluation.sharpness(params, pairs, 3.0) - np.mean(maxima)) < 1e-12
-    for stats in evaluation.consistency(params, pairs).factors:
+    passed = evaluation.hard_pass(params, pairs)
+    assert [len(chunk) for chunk, _ in passed] == [256, 44]
+    assert abs(evaluation.hard_mode_mse(passed) - np.mean(losses)) < 1e-12
+    assert abs(evaluation.sharpness(passed, 3.0) - np.mean(maxima)) < 1e-12
+    for stats in evaluation.consistency(passed).factors:
         rows = picks[stats.factor]
         counts = np.bincount(np.ravel(rows), minlength=config.latent_dim)
         assert stats.modal_index == int(np.argmax(counts))
@@ -229,7 +229,7 @@ def test_hard_mode_mse_of_constant_decoder():
     params = ModelParams.zeros(SMALL)
     pairs = sprite_pairs(6, 6)
     expected = float(np.mean([np.mean((0.5 - p.x_curr) ** 2) for p in pairs]))
-    assert abs(evaluation.hard_mode_mse(params, pairs) - expected) < 1e-15
+    assert abs(evaluation.hard_mode_mse(evaluation.hard_pass(params, pairs)) - expected) < 1e-15
 
 
 def test_copy_baseline_mse_by_hand():
@@ -244,7 +244,7 @@ def test_copy_baseline_mse_by_hand():
 
 def test_format_report_roundtrips_floats():
     params = ModelParams.zeros(SMALL)
-    report = evaluation.consistency(params, sprite_pairs(8, 6))
+    report = evaluation.consistency(evaluation.hard_pass(params, sprite_pairs(8, 6)))
     text = evaluation.format_report(3.5, 1 / 3, 0.01234567890123456789, 0.5, report)
     rows = dict(line.split("\t", 1) for line in text.splitlines()
                 if line.count("\t") == 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framegate.gating import SharpenParams
-from framegate.model import ModelConfig, ModelParams, forward_batch, prepare_batch_params
+from framegate.model import ModelConfig, ModelParams, forward_batch
 from framegate.sprites import FactorVector, FramePair, render, sample_pair
 from framegate.streams import stream
 from framegate.trainer import (Adam, Checkpoint, CheckpointError, Schedule, TrainConfig,
@@ -162,14 +162,13 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
     reported = train_epoch(params, Adam(lr=0.0), pairs, 1.0, 0.0, 3, stream(2, "e"))
 
     order = stream(2, "e").permutation(7)
-    batch_params, _ = prepare_batch_params(params)
     sp = SharpenParams(gamma=1.0, sigma=0.0)
     total = 0.0
     for start in range(0, 7, 3):
         ids = order[start:start + 3]
         xp = np.stack([pairs[i].x_prev for i in ids])
         xc = np.stack([pairs[i].x_curr for i in ids])
-        res = forward_batch(xp, xc, batch_params, sp, mode="soft",
+        res = forward_batch(xp, xc, params, sp, mode="soft",
                             rng=np.random.default_rng(0))
         total += res.loss.item() * len(ids)
     assert abs(reported - total / 7) < 1e-12
