@@ -1,7 +1,7 @@
 """Dense float64 tensors with a recorded tape and reverse-mode gradients.
 
 Values are contiguous row-major numpy arrays. `apply` runs one primitive and
-records it on a tape whenever a differentiable input is involved; `backward`
+records it on a tape whenever one of its inputs is tracked there; `backward`
 walks the records in reverse and returns d(loss)/d(leaf) for every leaf
 registered on that tape. The primitive set is deliberately small: exactly
 what a dense two-frame autoencoder with sharpened gating needs.
@@ -82,100 +82,115 @@ def constant(data) -> Tensor:
 
 
 class Record:
-    """One primitive application: kind, input node ids, attributes, output node id."""
+    """One primitive application: its input arrays and their node ids (None
+    for a constant), its attributes, and its output array and node id."""
 
-    __slots__ = ("kind", "input_ids", "attrs", "output_id")
+    __slots__ = ("kind", "inputs", "input_ids", "attrs", "output", "output_id")
 
-    def __init__(self, kind: str, input_ids: tuple[int, ...], attrs: dict, output_id: int):
+    def __init__(self, kind: str, inputs: list[np.ndarray], input_ids: tuple[int | None, ...],
+                 attrs: dict, output: np.ndarray, output_id: int):
         self.kind = kind
+        self.inputs = inputs
         self.input_ids = input_ids
         self.attrs = attrs
+        self.output = output
         self.output_id = output_id
 
 
 class Tape:
-    """Ordered log of primitive applications.
+    """Ordered log of primitive applications, plus the arrays of its leaves.
 
     Node ids are assigned in creation order, so inputs always precede the
     outputs that consume them and the record list is already topologically
-    sorted for the backward sweep.
+    sorted for the backward sweep. Only leaves and record outputs take ids.
 
-    Leaf handles point at their tape and the tape keeps only their node ids,
+    Leaf handles point at their tape and the tape keeps only their arrays,
     so with no cycle between them a tape is freed as soon as its last handle
     goes, rather than at the next full garbage collection.
     """
 
     def __init__(self):
-        self._values: list[np.ndarray] = []
-        self._differentiable: list[bool] = []
-        self._leaves: list[int] = []
+        self.leaves: dict[int, np.ndarray] = {}
         self.records: list[Record] = []
-
-    def _register(self, value: np.ndarray, differentiable: bool) -> int:
-        self._values.append(value)
-        self._differentiable.append(differentiable)
-        return len(self._values) - 1
+        self.num_nodes = 0
 
     def leaf(self, data) -> Tensor:
         """Register a differentiable leaf (a parameter) and return its handle."""
         arr = _as_array(data)
-        node = self._register(arr, True)
-        self._leaves.append(node)
+        node = self.num_nodes
+        self.num_nodes += 1
+        self.leaves[node] = arr
         return Tensor(arr, tape=self, node=node)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._values)
+
+def _inputs(kind: str, arrays: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """The inputs of a primitive that takes exactly `count` of them."""
+    if len(arrays) != count:
+        raise ShapeMismatch(f"{kind} takes exactly {('one input', 'two inputs')[count - 1]}")
+    return arrays
 
 
-def _check_elementwise_pair(kind: str, a: np.ndarray, b: np.ndarray, allow_row_broadcast: bool) -> None:
+def _pair(kind: str, arrays: list[np.ndarray], allow_row_broadcast: bool) -> list[np.ndarray]:
+    """The two inputs of an elementwise primitive, checked to conform."""
+    a, b = _inputs(kind, arrays, 2)
     if a.shape == b.shape:
-        return
+        return arrays
     if allow_row_broadcast:
         # A vector may broadcast across the rows of a matrix (bias terms in
         # batched affine layers). Nothing wider than that.
         if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-            return
+            return arrays
         if a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0]:
-            return
+            return arrays
     raise ShapeMismatch(f"{kind}: shapes {a.shape} and {b.shape} do not conform")
 
 
-def _check(kind: str, arrays: list[np.ndarray], attrs: dict) -> None:
-    # Messages are formatted only on failure: apply runs this on every call.
+def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
+    """Check the inputs of one primitive, then compute its output.
+
+    Messages are formatted only on failure: apply runs this on every call.
+    """
     if kind == "matmul":
-        if len(arrays) != 2:
-            raise ShapeMismatch("matmul takes exactly two inputs")
-        a, b = arrays
+        a, b = _inputs(kind, arrays, 2)
         if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
             raise ShapeMismatch(
                 f"matmul supports vectors and matrices, got {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[0]:
             raise ShapeMismatch(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    elif kind in ("add", "sub"):
-        if len(arrays) != 2:
-            raise ShapeMismatch(f"{kind} takes exactly two inputs")
-        _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=True)
-    elif kind == "hadamard":
-        if len(arrays) != 2:
-            raise ShapeMismatch("hadamard takes exactly two inputs")
-        _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=False)
-    elif kind == "scalar-pow":
-        if len(arrays) != 1:
-            raise ShapeMismatch("scalar-pow takes exactly one input")
+        return a @ b
+    if kind == "add":
+        a, b = _pair(kind, arrays, allow_row_broadcast=True)
+        return a + b
+    if kind == "sub":
+        a, b = _pair(kind, arrays, allow_row_broadcast=True)
+        return a - b
+    if kind == "hadamard":
+        a, b = _pair(kind, arrays, allow_row_broadcast=False)
+        return a * b
+    if kind == "scalar-pow":
+        (x,) = _inputs(kind, arrays, 1)
         if "exponent" not in attrs:
             raise ValueError("scalar-pow needs an 'exponent' attribute")
-        float(attrs["exponent"])
-    elif kind in ("relu", "tanh", "sigmoid", "sum"):
-        if len(arrays) != 1:
-            raise ShapeMismatch(f"{kind} takes exactly one input")
-    elif kind == "softmax":
-        if len(arrays) != 1:
-            raise ShapeMismatch("softmax takes exactly one input")
+        return np.power(np.maximum(x, CLAMP_MIN), float(attrs["exponent"]))
+    if kind == "relu":
+        (x,) = _inputs(kind, arrays, 1)
+        return np.maximum(x, 0.0)
+    if kind == "tanh":
+        (x,) = _inputs(kind, arrays, 1)
+        return np.tanh(x)
+    if kind == "sigmoid":
+        (x,) = _inputs(kind, arrays, 1)
+        # tanh form avoids exp overflow for large negative inputs
+        return 0.5 * (np.tanh(0.5 * x) + 1.0)
+    if kind == "softmax":
+        (x,) = _inputs(kind, arrays, 1)
         axis = int(attrs.get("axis", -1))
-        if not -arrays[0].ndim <= axis < arrays[0].ndim:
-            raise ShapeMismatch(f"softmax: axis {axis} out of range for shape {arrays[0].shape}")
-    elif kind == "concat":
+        if not -x.ndim <= axis < x.ndim:
+            raise ShapeMismatch(f"softmax: axis {axis} out of range for shape {x.shape}")
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        return e / np.sum(e, axis=axis, keepdims=True)
+    if kind == "concat":
         if len(arrays) < 2:
             raise ShapeMismatch("concat takes at least two inputs")
         axis = int(attrs.get("axis", 0))
@@ -190,60 +205,25 @@ def _check(kind: str, arrays: list[np.ndarray], attrs: dict) -> None:
                 if d != axis and other.shape[d] != first.shape[d]:
                     raise ShapeMismatch(f"concat: shapes {first.shape} and {other.shape} "
                                         f"disagree off axis {axis}")
-    elif kind == "slice":
-        if len(arrays) != 1:
-            raise ShapeMismatch("slice takes exactly one input")
+        return np.concatenate(arrays, axis=axis)
+    if kind == "slice":
+        (x,) = _inputs(kind, arrays, 1)
         axis = int(attrs["axis"])
         start, stop = attrs["range"]
-        if not -arrays[0].ndim <= axis < arrays[0].ndim:
-            raise ShapeMismatch(f"slice: axis {axis} out of range for shape {arrays[0].shape}")
-        extent = arrays[0].shape[axis]
+        if not -x.ndim <= axis < x.ndim:
+            raise ShapeMismatch(f"slice: axis {axis} out of range for shape {x.shape}")
+        extent = x.shape[axis]
         if not 0 <= start < stop <= extent:
             raise ShapeMismatch(f"slice: range ({start}, {stop}) invalid for extent {extent}")
-    elif kind == "mean-squared-error":
-        if len(arrays) != 2:
-            raise ShapeMismatch("mean-squared-error takes exactly two inputs")
-        _check_elementwise_pair(kind, arrays[0], arrays[1], allow_row_broadcast=False)
-    else:
-        raise ValueError(f"unknown primitive kind: {kind!r}")
-
-
-def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
-    if kind == "matmul":
-        return arrays[0] @ arrays[1]
-    if kind == "add":
-        return arrays[0] + arrays[1]
-    if kind == "sub":
-        return arrays[0] - arrays[1]
-    if kind == "hadamard":
-        return arrays[0] * arrays[1]
-    if kind == "scalar-pow":
-        return np.power(np.maximum(arrays[0], CLAMP_MIN), float(attrs["exponent"]))
-    if kind == "relu":
-        return np.maximum(arrays[0], 0.0)
-    if kind == "tanh":
-        return np.tanh(arrays[0])
-    if kind == "sigmoid":
-        # tanh form avoids exp overflow for large negative inputs
-        return 0.5 * (np.tanh(0.5 * arrays[0]) + 1.0)
-    if kind == "softmax":
-        x = arrays[0]
-        axis = int(attrs.get("axis", -1))
-        shifted = x - np.max(x, axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=axis, keepdims=True)
-    if kind == "concat":
-        return np.concatenate(arrays, axis=int(attrs.get("axis", 0)))
-    if kind == "slice":
-        axis = int(attrs["axis"])
-        start, stop = attrs["range"]
-        index = [slice(None)] * arrays[0].ndim
+        index = [slice(None)] * x.ndim
         index[axis] = slice(int(start), int(stop))
-        return arrays[0][tuple(index)].copy()
+        return x[tuple(index)].copy()
     if kind == "sum":
-        return np.asarray(np.sum(arrays[0]))
+        (x,) = _inputs(kind, arrays, 1)
+        return np.asarray(np.sum(x))
     if kind == "mean-squared-error":
-        diff = arrays[0] - arrays[1]
+        a, b = _pair(kind, arrays, allow_row_broadcast=False)
+        diff = a - b
         return np.asarray(np.mean(diff * diff))
     raise ValueError(f"unknown primitive kind: {kind!r}")
 
@@ -338,16 +318,13 @@ def _backward(kind: str, grad: np.ndarray, inputs: list[np.ndarray], attrs: dict
 
 
 def apply(kind: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Run one primitive; records on the inputs' tape when gradients are needed.
+    """Run one primitive; records it on the inputs' tape when any input has one.
 
     Inputs may be Tensors or anything numpy can coerce; plain arrays become
-    constants. All tracked inputs must share one tape.
+    constants, which take no node id. All tracked inputs must share one tape.
     """
-    if kind not in PRIMITIVE_KINDS:
-        raise ValueError(f"unknown primitive kind: {kind!r}")
     tensors = []
     tape: Tape | None = None
-    tracked = False
     for x in inputs:
         t = x if isinstance(x, Tensor) else Tensor(x)
         tensors.append(t)
@@ -356,18 +333,15 @@ def apply(kind: str, inputs, attrs: dict | None = None) -> Tensor:
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError("inputs recorded on different tapes")
-            if t.node is not None and tape._differentiable[t.node]:
-                tracked = True
     arrays = [t.data for t in tensors]
     attrs = attrs or {}
-    _check(kind, arrays, attrs)
     out = _forward(kind, arrays, attrs)
-    if not tracked:
+    if tape is None:
         return Tensor(out)
-    ids = tuple(t.node if t.tape is tape and t.node is not None else tape._register(t.data, False)
-                for t in tensors)
-    out_id = tape._register(out, True)
-    tape.records.append(Record(kind, ids, dict(attrs), out_id))
+    out_id = tape.num_nodes
+    tape.num_nodes += 1
+    tape.records.append(Record(kind, arrays, tuple(t.node for t in tensors), dict(attrs), out,
+                               out_id))
     return Tensor(out, tape=tape, node=out_id)
 
 
@@ -388,17 +362,15 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         out_grad = adjoints.get(rec.output_id)
         if out_grad is None:
             continue
-        inputs = [tape._values[i] for i in rec.input_ids]
-        needs = [tape._differentiable[i] for i in rec.input_ids]
-        in_grads = _backward(rec.kind, out_grad, inputs, rec.attrs, tape._values[rec.output_id],
-                             needs)
+        needs = [nid is not None for nid in rec.input_ids]
+        in_grads = _backward(rec.kind, out_grad, rec.inputs, rec.attrs, rec.output, needs)
         for nid, g in zip(rec.input_ids, in_grads):
             if g is None:
                 continue
             held = adjoints.get(nid)
             adjoints[nid] = g if held is None else held + g
-    return {nid: adjoints[nid] if nid in adjoints else np.zeros_like(tape._values[nid])
-            for nid in tape._leaves}
+    return {nid: adjoints[nid] if nid in adjoints else np.zeros_like(arr)
+            for nid, arr in tape.leaves.items()}
 
 
 def grad_check(f, point, step: float = 1e-6) -> float:

@@ -56,26 +56,23 @@ _HEAD_FIELDS = ("w1", "b1", "w2", "b2")
 
 @dataclass
 class ModelParams:
-    """All trainable arrays. Every weight matrix, gating heads included, is
-    stored (fan_in, fan_out), so a row block multiplies it from the left.
+    """All trainable arrays by name, in `shapes` order. Every weight matrix,
+    gating heads included, is stored (fan_in, fan_out), so a row block
+    multiplies it from the left.
 
-    Parameters made by `initialize` and `zeros` own `flat`, one
-    contiguous float64 vector; every array of `named` is a view into it, in
-    `named` order, so an update of `flat` updates the model. Parameters that
-    hold tape leaves (`prepare_batch_params`) have no flat vector.
+    Parameters made by `zeros` and `initialize` own `flat`, one contiguous
+    float64 vector; every array is a view into it, in `shapes` order, so an
+    update of `flat` updates the model. Parameters that hold tape leaves
+    (`prepare_batch_params`) have no flat vector.
     """
 
     config: ModelConfig
-    enc_w: list
-    enc_b: list
-    dec_w: list
-    dec_b: list
-    heads: list
+    arrays: dict
     flat: np.ndarray | None = None
 
     @staticmethod
     def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-        """Name -> shape of every parameter, in the order of `named`."""
+        """Name -> shape of every parameter, in the order of `flat` and `named`."""
         out: dict[str, tuple[int, ...]] = {}
         for prefix, dims in (("enc", [config.pixels, *config.enc_hidden, config.latent_dim]),
                              ("dec", [config.latent_dim, *config.dec_hidden, config.pixels])):
@@ -89,35 +86,18 @@ class ModelParams:
         return out
 
     @classmethod
-    def _allocate(cls, config: ModelConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """A zero flat vector holding every parameter, and its views by name,
-        laid out in `named` order."""
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """All-zero parameters: a fixed point in tests, the buffer a
+        checkpoint loads into, and the one `initialize` draws into."""
         shapes = cls.shapes(config)
         flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-        views: dict[str, np.ndarray] = {}
+        arrays: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
-            views[name] = flat[offset:offset + size].reshape(shape)
+            arrays[name] = flat[offset:offset + size].reshape(shape)
             offset += size
-        return flat, views
-
-    @classmethod
-    def assemble(cls, config: ModelConfig, named: dict,
-                 flat: np.ndarray | None = None) -> "ModelParams":
-        """Parameters from a name -> array (or tape leaf) mapping laid out as
-        `named` returns it, and the flat vector those arrays view, if any.
-        Nothing is copied or checked."""
-        return cls(
-            config=config,
-            enc_w=[named[f"enc{i}.w"] for i in range(len(config.enc_hidden) + 1)],
-            enc_b=[named[f"enc{i}.b"] for i in range(len(config.enc_hidden) + 1)],
-            dec_w=[named[f"dec{i}.w"] for i in range(len(config.dec_hidden) + 1)],
-            dec_b=[named[f"dec{i}.b"] for i in range(len(config.dec_hidden) + 1)],
-            heads=[GatingHead(*(named[f"head{k}.{f}"] for f in _HEAD_FIELDS))
-                   for k in range(config.num_heads)],
-            flat=flat,
-        )
+        return cls(config, arrays, flat)
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator,
@@ -133,50 +113,36 @@ class ModelParams:
         drawn (fan_out, fan_in), the layout of version-1 checkpoints, and
         transposed, so each seed keeps its values.
         """
-        flat, views = cls._allocate(config)
-        for name, view in views.items():
+        params = cls.zeros(config)
+        for name, view in params.arrays.items():
             if view.ndim == 1:
                 continue
             if name.startswith("head"):
                 view[...] = _uniform_init(rng, view.shape[::-1]).T
             else:
                 view[...] = _uniform_init(rng, view.shape)
-        params = cls.assemble(config, views, flat)
         if mean_frame is not None:
             mean = np.clip(np.asarray(mean_frame, dtype=np.float64), 1e-3, 1.0 - 1e-3)
-            if mean.shape != params.dec_b[-1].shape:
+            out_bias = params.arrays[f"dec{len(config.dec_hidden)}.b"]
+            if mean.shape != out_bias.shape:
                 raise ValueError(f"mean frame has shape {mean.shape}, "
-                                 f"expected {params.dec_b[-1].shape}")
-            params.dec_b[-1][...] = np.log(mean / (1.0 - mean))
+                                 f"expected {out_bias.shape}")
+            out_bias[...] = np.log(mean / (1.0 - mean))
         return params
 
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "ModelParams":
-        """All-zero parameters: a fixed point in tests, and the buffer a
-        checkpoint loads into."""
-        flat, views = cls._allocate(config)
-        return cls.assemble(config, views, flat)
-
     def named(self) -> dict:
-        """Stable name -> live array mapping; mutating the arrays updates the model."""
-        out = {}
-        for i, (w, b) in enumerate(zip(self.enc_w, self.enc_b)):
-            out[f"enc{i}.w"] = w
-            out[f"enc{i}.b"] = b
-        for i, (w, b) in enumerate(zip(self.dec_w, self.dec_b)):
-            out[f"dec{i}.w"] = w
-            out[f"dec{i}.b"] = b
-        for k, head in enumerate(self.heads):
-            out.update({f"head{k}.{f}": getattr(head, f) for f in _HEAD_FIELDS})
-        return out
+        """Name -> live array (or tape leaf), in `shapes` order; mutating the
+        arrays updates the model."""
+        return dict(self.arrays)
 
 
-def _mlp(x: Tensor, weights: list, biases: list) -> Tensor:
-    """Affine layers with a relu after each but the last."""
+def _mlp(x: Tensor, params: ModelParams, prefix: str, layers: int) -> Tensor:
+    """Affine layers `{prefix}{i}` with a relu after each but the last."""
     out = x
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i in range(layers):
+        w, b = params.arrays[f"{prefix}{i}.w"], params.arrays[f"{prefix}{i}.b"]
         out = apply("add", [apply("matmul", [out, w]), b])
-        if i != len(weights) - 1:
+        if i != layers - 1:
             out = apply("relu", [out])
     return out
 
@@ -187,17 +153,17 @@ def encode(frame, params) -> Tensor:
     Hidden layers are affine + relu; the final affine has no activation.
     """
     x = frame if isinstance(frame, Tensor) else Tensor(frame)
-    expected = params.enc_w[0].shape[0]
+    expected = params.arrays["enc0.w"].shape[0]
     if x.shape[-1] != expected:
         raise ValueError(f"frame has {x.shape[-1]} pixels, encoder expects {expected}")
-    return _mlp(x, params.enc_w, params.enc_b)
+    return _mlp(x, params, "enc", len(params.config.enc_hidden) + 1)
 
 
 def decode(latent, params) -> Tensor:
     """Frame reconstruction from a latent; final activation is a sigmoid,
     so outputs live in (0, 1)."""
     z = latent if isinstance(latent, Tensor) else Tensor(latent)
-    return apply("sigmoid", [_mlp(z, params.dec_w, params.dec_b)])
+    return apply("sigmoid", [_mlp(z, params, "dec", len(params.config.dec_hidden) + 1)])
 
 
 @dataclass
@@ -254,7 +220,9 @@ def _gated(latent_prev: Tensor, latent_curr: Tensor, target: Tensor, params,
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
     if mode == "soft" and rng is None:
         raise ValueError("soft mode requires an rng")
-    weightings = [gate_weights(latent_prev, latent_curr, head) for head in params.heads]
+    heads = [GatingHead(*(params.arrays[f"head{k}.{f}"] for f in _HEAD_FIELDS))
+             for k in range(params.config.num_heads)]
+    weightings = [gate_weights(latent_prev, latent_curr, head) for head in heads]
     if mode == "soft":
         chosen = [sharpen(w, sharpen_params, rng) for w in weightings]
     else:
@@ -271,8 +239,8 @@ def _gated(latent_prev: Tensor, latent_curr: Tensor, target: Tensor, params,
 def prepare_batch_params(params: ModelParams, tape: Tape):
     """Every array registered as a leaf on the tape: parameters that hold the
     leaves, and the leaves by name."""
-    leaves = {name: tape.leaf(arr) for name, arr in params.named().items()}
-    return ModelParams.assemble(params.config, leaves), leaves
+    leaves = {name: tape.leaf(arr) for name, arr in params.arrays.items()}
+    return ModelParams(params.config, leaves), leaves
 
 
 def extract_grads(leaves: dict[str, Tensor], grad_map: dict[int, np.ndarray]) -> dict[str, np.ndarray]:

@@ -353,6 +353,7 @@ def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
             passed = evaluation.hard_pass(params, val_pairs)
             val_loss = evaluation.hard_mode_mse(passed)
             val_sharp = evaluation.sharpness(passed, gamma)
+            del passed  # not kept alive through the next epoch's training
             line = f"{epoch}\t{gamma!r}\t{sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
             log.write(line + "\n")
             log.flush()

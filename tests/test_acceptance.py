@@ -158,7 +158,7 @@ def test_criterion_1_gradient_suite():
             for name in arrays:
                 def f(leaf, vary=name):
                     values = {k: (leaf if k == vary else v) for k, v in arrays.items()}
-                    return forward_pair(x_prev, x_curr, ModelParams.assemble(config, values), sp,
+                    return forward_pair(x_prev, x_curr, ModelParams(config, values), sp,
                                         mode="soft", rng=np.random.default_rng(0)).loss
                 err = grad_check(f, arrays[name], step=GRAD_STEP)
                 if err > worst:

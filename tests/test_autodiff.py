@@ -170,18 +170,20 @@ def test_node_ids_topologically_ordered():
     tape = Tape()
     x = tape.leaf(np.ones(3))
     y = apply("hadamard", [x, x])
-    z = apply("sum", [y])
+    c = apply("add", [y, constant(np.ones(3))])
+    z = apply("sum", [c])
+    assert tape.records[1].input_ids == (y.node, None)
     for rec in tape.records:
-        assert all(i < rec.output_id for i in rec.input_ids)
+        assert all(i < rec.output_id for i in rec.input_ids if i is not None)
     assert z.node == tape.num_nodes - 1
+    assert tape.num_nodes == len(tape.leaves) + len(tape.records)
 
 
 def replay_matches(tape):
     """Recompute every record from its stored inputs; True when each output is bit-identical."""
     for rec in tape.records:
-        fresh = _forward(rec.kind, [tape._values[i] for i in rec.input_ids], rec.attrs)
-        stored = tape._values[rec.output_id]
-        if fresh.shape != stored.shape or fresh.tobytes() != stored.tobytes():
+        fresh = _forward(rec.kind, rec.inputs, rec.attrs)
+        if fresh.shape != rec.output.shape or fresh.tobytes() != rec.output.tobytes():
             return False
     return True
 

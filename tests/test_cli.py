@@ -274,7 +274,7 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     data = gen(tmp_path)
     ckpt = train(tmp_path, data) / "checkpoint_final.txt"
     trained = load_checkpoint(ckpt)
-    trained.params.enc_b[0][:2] = [np.nan, np.inf]
+    trained.params.arrays["enc0.b"][:2] = [np.nan, np.inf]
     save_checkpoint(trained, ckpt)
     capsys.readouterr()
     assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1

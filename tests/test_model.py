@@ -40,13 +40,11 @@ def test_pixels_property():
 def test_initialize_bounds_and_zero_biases():
     rng = np.random.default_rng(0)
     params = ModelParams.initialize(SMALL, rng)
-    for i, w in enumerate(params.enc_w):
-        a = np.sqrt(6.0 / sum(w.shape))
-        assert np.abs(w).max() <= a
-        assert np.array_equal(params.enc_b[i], np.zeros(w.shape[1]))
-    for head in params.heads:
-        assert np.array_equal(head.b1, np.zeros_like(head.b1))
-        assert np.array_equal(head.b2, np.zeros_like(head.b2))
+    for name, arr in params.named().items():
+        if arr.ndim == 2:
+            assert np.abs(arr).max() <= np.sqrt(6.0 / sum(arr.shape)), name
+        else:
+            assert np.array_equal(arr, np.zeros_like(arr)), name
 
 
 def test_initialize_deterministic_in_seed():
@@ -57,10 +55,14 @@ def test_initialize_deterministic_in_seed():
 
 def test_named_round_trip():
     params = ModelParams.initialize(SMALL, np.random.default_rng(1))
-    rebuilt = ModelParams.assemble(SMALL, params.named(), params.flat)
+    rebuilt = ModelParams(SMALL, params.named(), params.flat)
     assert list(rebuilt.named()) == list(ModelParams.shapes(SMALL))
     assert all(rebuilt.named()[k] is v for k, v in params.named().items())
     assert rebuilt.flat is params.flat
+    # Leaf-built parameters keep the layout train_epoch's flat gather relies on.
+    tracked, leaves = prepare_batch_params(params, Tape())
+    assert list(tracked.named()) == list(leaves) == list(ModelParams.shapes(SMALL))
+    assert all(tracked.named()[k] is leaf for k, leaf in leaves.items())
 
 
 # ---- encode / decode ----
@@ -246,7 +248,7 @@ def test_full_model_gradients(num_heads, sigma):
     for name in arrays:
         def f(leaf, vary=name):
             vals = {k: (leaf if k == vary else v) for k, v in arrays.items()}
-            mixed = ModelParams.assemble(config, vals)
+            mixed = ModelParams(config, vals)
             res = forward_pair(x_prev, x_curr, mixed, sp, mode="soft",
                                rng=np.random.default_rng(0))
             return res.loss

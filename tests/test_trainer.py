@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from framegate import evaluation, trainer
 from framegate.gating import SharpenParams
 from framegate.model import ModelConfig, ModelParams, forward_batch
 from framegate.sprites import FactorVector, FramePair, render, sample_pair
@@ -195,7 +197,7 @@ def test_train_epoch_input_validation():
 def test_train_epoch_raises_on_nonfinite_loss():
     pairs = sprite_pairs(0, 4)
     params = ModelParams.initialize(SMALL, stream(0, "init"))
-    params.enc_w[0][0, 0] = np.nan
+    params.arrays["enc0.w"][0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="batch 0"):
         train_epoch(params, Adam(), pairs, 1.0, 0.0, 4, stream(0, "e"))
 
@@ -317,7 +319,7 @@ def test_checkpoint_refuses_version_1_and_non_finite_values(tmp_path):
     # Saved through save_checkpoint, so the sha256 matches and only the
     # finiteness check stands between these values and a run.
     for bad in (np.nan, np.inf, -np.inf):
-        params.enc_b[0][3] = bad
+        params.arrays["enc0.b"][3] = bad
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match="'enc0.b' holds a non-finite value"):
             load_checkpoint(path)
@@ -361,6 +363,26 @@ def test_fit_is_deterministic(tmp_path):
             == (tmp_path / "b" / "checkpoint_final.txt").read_bytes())
     assert ((tmp_path / "a" / "log.tsv").read_bytes()
             == (tmp_path / "b" / "log.tsv").read_bytes())
+
+
+def test_fit_frees_each_validation_pass_before_training_on(tmp_path, monkeypatch):
+    refs = []
+    real_pass, real_epoch = evaluation.hard_pass, trainer.train_epoch
+
+    def hard_pass(params, pairs):
+        passed = real_pass(params, pairs)
+        refs.extend(weakref.ref(result) for _, result in passed)
+        return passed
+
+    def train_epoch(*args):
+        assert all(ref() is None for ref in refs)
+        return real_epoch(*args)
+
+    monkeypatch.setattr(evaluation, "hard_pass", hard_pass)
+    monkeypatch.setattr(trainer, "train_epoch", train_epoch)
+    config = TrainConfig(model=SMALL, batch_size=4, seed=2, checkpoint_every=0)
+    fit(config, sprite_pairs(2, 20), epochs=3, out_dir=tmp_path, quiet=True)
+    assert len(refs) == 3
 
 
 def test_fit_epochs_zero_saves_initial_state(tmp_path):
