@@ -8,6 +8,7 @@ so a dataset of 3k pairs covers each factor 1k times.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,30 +68,37 @@ def _redraw_different(rng: np.random.Generator, old: int, count: int) -> int:
     return pick + 1 if pick >= old else pick
 
 
-def sample_pair(rng: np.random.Generator, factor: str, n: int, s: int, levels: int) -> FramePair:
+@functools.lru_cache(maxsize=16)
+def _level_values(levels: int) -> tuple[float, ...]:
+    return tuple(brightness_levels(levels).tolist())
+
+
+def sample_pair(rng: np.random.Generator, factor: str, n: int, s: int,
+                levels: int) -> tuple[FactorVector, FactorVector]:
     """Draw a base frame, then change exactly `factor` for the second frame.
 
-    Draw order is fixed: x, y, brightness level, then the redraw. The
-    redrawn value always differs from the original.
+    Returns the (prev, curr) factors. Draw order is fixed: x, y, brightness
+    level, then the redraw. The redrawn value always differs from the original.
     """
     if factor not in FACTORS:
         raise ValueError(f"unknown factor {factor!r}, expected one of {FACTORS}")
+    if s < 1:
+        raise ValueError(f"sprite side {s} does not fit a {n}x{n} frame")
     positions = n - s + 1
     if positions < 2:
         raise ValueError(f"frame side {n} with sprite side {s} leaves no room to move")
-    values = brightness_levels(levels)
+    values = _level_values(levels)
     x = int(rng.integers(0, positions))
     y = int(rng.integers(0, positions))
     level = int(rng.integers(0, levels))
-    prev = FactorVector(x=x, y=y, brightness=float(values[level]))
+    prev = FactorVector(x=x, y=y, brightness=values[level])
     if factor == "x":
-        curr = FactorVector(x=_redraw_different(rng, x, positions), y=y, brightness=prev.brightness)
+        x = _redraw_different(rng, x, positions)
     elif factor == "y":
-        curr = FactorVector(x=x, y=_redraw_different(rng, y, positions), brightness=prev.brightness)
+        y = _redraw_different(rng, y, positions)
     else:
-        new_level = _redraw_different(rng, level, levels)
-        curr = FactorVector(x=x, y=y, brightness=float(values[new_level]))
-    return FramePair(x_prev=render(prev, n, s), x_curr=render(curr, n, s), changed_factor=factor)
+        level = _redraw_different(rng, level, levels)
+    return prev, FactorVector(x=x, y=y, brightness=values[level])
 
 
 def _quantize(frame: np.ndarray) -> np.ndarray:
@@ -111,21 +119,23 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
         raise ValueError(f"count must be positive, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    labels = []
-    payload = bytearray()
-    payload.append(BINARY_VERSION)
-    for i in range(count):
-        factor = FACTORS[i % len(FACTORS)]
-        pair = sample_pair(stream(seed, i), factor, n, s, levels)
-        labels.append(factor)
-        payload += _quantize(pair.x_prev).tobytes()
-        payload += _quantize(pair.x_curr).tobytes()
+    labels = [FACTORS[i % len(FACTORS)] for i in range(count)]
+    frames = [v for i, factor in enumerate(labels)
+              for v in sample_pair(stream(seed, i), factor, n, s, levels)]
+    # _quantize is elementwise and keeps 0 at 0: each frame's lit pixels get its brightness's byte.
+    lit = _quantize(np.array([v.brightness for v in frames]))
+    corners = np.array([(v.y, v.x) for v in frames])[:, :, None]
+    inside = (np.arange(n) >= corners) & (np.arange(n) < corners + s)  # (frame, row|col, n)
+    payload = np.empty(1 + len(frames) * n * n, dtype=np.uint8)
+    payload[0] = BINARY_VERSION
+    np.multiply((inside[:, 0] * lit[:, None])[:, :, None], inside[:, 1, None, :],
+                out=payload[1:].reshape(-1, n, n))
     manifest = {"version": BINARY_VERSION, "n": n, "s": s, "L": levels, "count": count,
                 "seed": seed, "labels": ",".join(labels)}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic.write_bytes(out_dir / MANIFEST_NAME, keyvalue.write(manifest).encode())
-    atomic.write_bytes(out_dir / FRAMES_NAME, bytes(payload))
+    atomic.write_bytes(out_dir / FRAMES_NAME, payload)
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,11 @@ def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
     fields = keyvalue.read(Path(path).read_text(), examples, str(path), complete=True)
     if fields["version"] != BINARY_VERSION:
         raise ValueError(f"unknown dataset version {fields['version']!r}")
-    info = DatasetInfo(n=fields["n"], s=fields["s"], levels=fields["L"], count=fields["count"],
-                       seed=fields["seed"])
+    info = DatasetInfo(fields["n"], fields["s"], fields["L"], fields["count"], fields["seed"])
+    for key, ok, need in (("n", info.n >= 2, ">= 2"), ("s", 1 <= info.s < info.n, "in [1, n)"),
+                          ("L", info.levels >= 2, ">= 2"), ("count", info.count >= 1, ">= 1")):
+        if not ok:
+            raise ValueError(f"{path}: {key}={fields[key]} must be {need}")
     labels = fields["labels"].split(",") if fields["labels"] else []
     if len(labels) != info.count:
         raise ValueError(f"manifest lists {len(labels)} labels for count={info.count}")
@@ -158,21 +171,16 @@ def load_dataset(path) -> list[FramePair]:
     """Read pairs back from a dataset directory.
 
     Loaded intensities are the stored bytes over 255, so they sit within
-    1/510 of the originals.
+    1/510 of the originals. Every frame is a row view of one float array.
     """
     path = Path(path)
     info, labels = read_manifest(path / MANIFEST_NAME)
     blob = (path / FRAMES_NAME).read_bytes()
-    if len(blob) < 1 or blob[0] != BINARY_VERSION:
-        found = blob[0] if blob else None
-        raise ValueError(f"unknown binary version {found!r}")
-    frame_bytes = info.n * info.n
-    expected = 1 + info.count * 2 * frame_bytes
+    if blob[:1] != bytes([BINARY_VERSION]):
+        raise ValueError(f"unknown binary version {blob[0] if blob else None!r}")
+    expected = 1 + info.count * 2 * info.n * info.n
     if len(blob) != expected:
         raise ValueError(f"binary has {len(blob)} bytes, expected {expected}")
     raw = np.frombuffer(blob, dtype=np.uint8, offset=1)
-    frames = raw.reshape(info.count, 2, frame_bytes).astype(np.float64) / 255.0
-    return [
-        FramePair(x_prev=frames[i, 0].copy(), x_curr=frames[i, 1].copy(), changed_factor=labels[i])
-        for i in range(info.count)
-    ]
+    frames = np.divide(raw.reshape(info.count, 2, -1), 255.0)
+    return [FramePair(prev, curr, label) for (prev, curr), label in zip(frames, labels)]

@@ -49,3 +49,5 @@ def test_cli_commands_record_every_benchmark_span(tmp_path, capsys):
     assert spans.installed_wrappers() == 0
     assert codes == [0, 0, 0, 0]
     assert spans.missing_spans(tracer) == []
+    # One sample_pair per generated pair keeps the traced counts comparable.
+    assert tracer.calls["sprites.sample_pair"] == 20

@@ -162,8 +162,10 @@ def test_module_entry_point(tmp_path):
 @pytest.mark.parametrize("flags,message", [
     (["--seed", "-1"], "seed must be >= 0"),
     (["--seed", "0", "--sprite", "9"], "sprite side 9"),
+    (["--seed", "0", "--sprite", "0"], "sprite side 0"),
+    (["--seed", "0", "--sprite", "-1"], "sprite side -1"),
     (["--seed", "0", "--levels", "1"], "at least 2 brightness levels")],
-    ids=["seed", "sprite", "levels"])
+    ids=["seed", "sprite", "sprite-zero", "sprite-negative", "levels"])
 def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "ds"
     assert cli.run(["gen-data", "--out", str(out), "--count", "3", "--side", "8", *flags]) == 1

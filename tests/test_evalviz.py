@@ -6,7 +6,7 @@ import pytest
 from framegate import evaluation
 from framegate.gating import SharpenParams, sharpen
 from framegate.model import ModelConfig, ModelParams, decode, encode, forward_pair
-from framegate.sprites import FACTORS, FramePair, sample_pair
+from framegate.sprites import FACTORS, FramePair, render, sample_pair
 from framegate.streams import stream
 
 SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
@@ -14,8 +14,12 @@ SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
 
 
 def sprite_pairs(seed, count, n=8):
-    return [sample_pair(stream(seed, i), ("x", "y", "brightness")[i % 3], n=n, s=2, levels=3)
-            for i in range(count)]
+    pairs = []
+    for i in range(count):
+        factor = ("x", "y", "brightness")[i % 3]
+        prev, curr = sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)
+        pairs.append(FramePair(render(prev, n, 2), render(curr, n, 2), factor))
+    return pairs
 
 
 # ---- sharpness ----

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from framegate.sprites import (FACTORS, FRAMES_NAME, MANIFEST_NAME, FactorVector,
-                               brightness_levels, generate_dataset, load_dataset,
-                               read_manifest, render, sample_pair)
+from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME,
+                               FactorVector, FramePair, _quantize, brightness_levels,
+                               generate_dataset, load_dataset, read_manifest, render,
+                               sample_pair)
 from framegate.streams import stream
+
+
+def rendered_pair(rng, factor, n, s, levels):
+    prev, curr = sample_pair(rng, factor, n, s, levels)
+    return FramePair(render(prev, n, s), render(curr, n, s), factor)
 
 
 # ---- rendering ----
@@ -53,7 +59,7 @@ def test_sample_pair_changes_exactly_the_named_factor():
     rng = np.random.default_rng(3)
     for trial in range(100):
         factor = FACTORS[trial % 3]
-        pair = sample_pair(np.random.default_rng(trial), factor, n=8, s=3, levels=4)
+        pair = rendered_pair(np.random.default_rng(trial), factor, n=8, s=3, levels=4)
         assert pair.changed_factor == factor
         assert not np.array_equal(pair.x_prev, pair.x_curr)
         if factor == "brightness":
@@ -69,7 +75,7 @@ def test_sample_pair_changes_exactly_the_named_factor():
 def test_sample_pair_x_move_stays_in_row():
     # A pure horizontal move keeps the set of occupied rows fixed.
     for trial in range(50):
-        pair = sample_pair(np.random.default_rng(trial), "x", n=8, s=2, levels=3)
+        pair = rendered_pair(np.random.default_rng(trial), "x", n=8, s=2, levels=3)
         prev_rows = np.where(pair.x_prev.reshape(8, 8).any(axis=1))[0]
         curr_rows = np.where(pair.x_curr.reshape(8, 8).any(axis=1))[0]
         assert np.array_equal(prev_rows, curr_rows)
@@ -81,6 +87,8 @@ def test_sample_pair_rejects_unknown_factor_and_frozen_geometry():
         sample_pair(rng, "rotation", n=8, s=2, levels=3)
     with pytest.raises(ValueError, match="no room"):
         sample_pair(rng, "x", n=4, s=4, levels=3)
+    with pytest.raises(ValueError, match="sprite side 0 does not fit"):
+        sample_pair(rng, "x", n=4, s=0, levels=3)
 
 
 # ---- dataset files ----
@@ -109,23 +117,44 @@ def test_labels_cycle_through_factors(tmp_path):
     assert [p.changed_factor for p in pairs] == labels
 
 
+@pytest.mark.parametrize("n,s,levels", [(8, 2, 3), (16, 4, 5), (5, 1, 9), (8, 7, 2)])
+def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, levels):
+    # The reference is the per-frame render, so an off-by-one in the
+    # dataset raster shows as a differing byte.
+    generate_dataset(tmp_path, count=13, seed=3, n=n, s=s, levels=levels)
+    expected = bytearray([BINARY_VERSION])
+    for i in range(13):
+        for factors in sample_pair(stream(3, i), FACTORS[i % 3], n, s, levels):
+            expected += _quantize(render(factors, n, s)).tobytes()
+    assert (tmp_path / FRAMES_NAME).read_bytes() == bytes(expected)
+
+
 def test_quantization_error_is_bounded(tmp_path):
     generate_dataset(tmp_path, count=9, seed=4, n=8, s=2, levels=3)
     loaded = load_dataset(tmp_path)
     for i, pair in enumerate(loaded):
-        fresh = sample_pair(stream(4, i), FACTORS[i % 3], n=8, s=2, levels=3)
+        fresh = rendered_pair(stream(4, i), FACTORS[i % 3], n=8, s=2, levels=3)
         assert np.abs(pair.x_prev - fresh.x_prev).max() <= 1 / 510 + 1e-12
         assert np.abs(pair.x_curr - fresh.x_curr).max() <= 1 / 510 + 1e-12
 
 
 def test_loaded_frames_are_float_unit_interval(tmp_path):
     generate_dataset(tmp_path, count=3, seed=2, n=8, s=3, levels=4)
-    for pair in load_dataset(tmp_path):
+    raw = np.frombuffer((tmp_path / FRAMES_NAME).read_bytes(), dtype=np.uint8, offset=1)
+    pairs = load_dataset(tmp_path)
+    loaded = np.stack([np.stack((p.x_prev, p.x_curr)) for p in pairs])
+    assert np.array_equal(loaded, raw.reshape(3, 2, 64).astype(np.float64) / 255.0)
+    for pair in pairs:
         for frame in (pair.x_prev, pair.x_curr):
             assert frame.dtype == np.float64
             assert frame.shape == (64,)
             assert frame.min() >= 0.0 and frame.max() <= 1.0
-            frame[0] = 0.5  # loaded frames must be writable copies
+    # Each frame is writable on its own: a write lands in that frame only.
+    untouched = [pairs[0].x_curr.copy(), pairs[1].x_prev.copy(), pairs[1].x_curr.copy()]
+    pairs[0].x_prev[:] = 0.5
+    assert np.all(pairs[0].x_prev == 0.5)
+    for before, after in zip(untouched, (pairs[0].x_curr, pairs[1].x_prev, pairs[1].x_curr)):
+        assert np.array_equal(before, after)
 
 
 def test_generate_rejects_nonpositive_count(tmp_path):
@@ -177,4 +206,19 @@ def test_manifest_validation(tmp_path):
 
     manifest.write_text(original + "frames=2\n")
     with pytest.raises(ValueError, match="unknown key 'frames'"):
+        read_manifest(manifest)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("n=8\n", "n=-8\n", "n=-8 must be >= 2"),
+    ("s=2\n", "s=0\n", "s=0 must be in"),
+    ("s=2\n", "s=99\n", "s=99 must be in"),
+    ("L=3\n", "L=-4\n", "L=-4 must be >= 2"),
+    ("count=2\n", "count=0\n", "count=0 must be >= 1")],
+    ids=["n", "s-low", "s-high", "L", "count"])
+def test_manifest_refuses_impossible_geometry(tmp_path, old, new, message):
+    generate_dataset(tmp_path, count=2, seed=0, n=8, s=2, levels=3)
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace(old, new))
+    with pytest.raises(ValueError, match=f"{MANIFEST_NAME}: {message}"):
         read_manifest(manifest)

@@ -21,8 +21,12 @@ SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
 
 
 def sprite_pairs(seed, count, n=8):
-    return [sample_pair(stream(seed, i), ("x", "y", "brightness")[i % 3], n=n, s=2, levels=3)
-            for i in range(count)]
+    pairs = []
+    for i in range(count):
+        factor = ("x", "y", "brightness")[i % 3]
+        prev, curr = sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)
+        pairs.append(FramePair(render(prev, n, 2), render(curr, n, 2), factor))
+    return pairs
 
 
 # ---- schedule ----
