@@ -18,8 +18,8 @@ import numpy as np
 
 from . import atomic, evaluation, keyvalue, sprites
 from .model import ModelConfig
-from .trainer import (Checkpoint, Schedule, TrainConfig, fit, from_settings, load_checkpoint,
-                      settings, split_validation)
+from .trainer import (Schedule, TrainConfig, fit, from_settings, held_out, load_checkpoint,
+                      settings)
 
 
 @dataclass(frozen=True)
@@ -75,28 +75,22 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else RunConfig()
     pairs = sprites.load_dataset(args.data)
-    if not pairs:
-        raise ValueError(f"dataset {args.data} holds no pairs")
-    fit(config.train_config(math.isqrt(pairs[0].x_prev.size)), pairs, config.epochs, args.out)
+    fit(config.train_config(math.isqrt(pairs.frames.shape[-1])), pairs, config.epochs, args.out)
     return 0
 
 
-def _evaluate(ckpt: Checkpoint, pairs) -> str:
-    """The eval report over the validation split, from one hard-mode pass."""
-    val = split_validation(pairs)[1]
+def _cmd_eval(args) -> int:
+    """The eval report from one hard-mode pass over the validation pairs alone."""
+    ckpt = load_checkpoint(args.checkpoint)
+    count = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0].count
+    val = sprites.load_dataset(args.data, held_out(count))
     if not val:
         raise ValueError("dataset too small to hold out a validation split")
     passed = evaluation.hard_pass(ckpt.params, val)
-    return evaluation.format_report(ckpt.gamma, evaluation.sharpness(passed, ckpt.gamma),
+    text = evaluation.format_report(ckpt.gamma, evaluation.sharpness(passed, ckpt.gamma),
                                     evaluation.hard_mode_mse(passed),
                                     evaluation.copy_baseline_mse(val),
                                     evaluation.consistency(passed))
-
-
-def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    pairs = sprites.load_dataset(args.data)
-    text = _evaluate(ckpt, pairs)
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.txt"
     atomic.write_bytes(out_path, text.encode())
     sys.stdout.write(text)
@@ -105,16 +99,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_traverse(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    pairs = sprites.load_dataset(args.data)
-    if not 0 <= args.pair_index < len(pairs):
-        raise ValueError(f"pair index {args.pair_index} out of range for {len(pairs)} pairs")
+    count = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0].count
+    if not 0 <= args.pair_index < count:
+        raise ValueError(f"pair index {args.pair_index} out of range for {count} pairs")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
-    val = split_validation(pairs)[1] or pairs
+    val = sprites.load_dataset(args.data, held_out(count)) or sprites.load_dataset(args.data)
     lo, hi = evaluation.observed_range(ckpt.params, val, args.component)
     if not lo < hi:
         raise ValueError(f"component {args.component} is constant over the dataset")
-    frame = pairs[args.pair_index].x_curr
+    frame = sprites.load_dataset(args.data, [args.pair_index]).x_curr[0]
     grid = evaluation.traverse(ckpt.params, frame, args.component,
                                np.linspace(lo, hi, args.steps))
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent

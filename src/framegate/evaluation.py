@@ -1,7 +1,7 @@
 """Evaluation: gate sharpness, factor consistency, latent traversals, PGM output.
 
 Everything here runs with the noise off and, where a discrete choice is
-needed, uses the hard argmax selection. `hard_pass` runs a pair list once,
+needed, uses the hard argmax selection. `hard_pass` runs a pair set once,
 in row blocks of up to 256 pairs with one hard-mode `forward_pair` each;
 `sharpness`, `hard_mode_mse` and `consistency` are reductions of its
 result. Frames go to disk as binary PGM (P5) images so the traversal grids
@@ -18,28 +18,27 @@ import numpy as np
 from . import atomic
 from .gating import SharpenParams, hard_select, sharpen
 from .model import ForwardResult, ModelParams, decode, encode, forward_pair
-from .sprites import FACTORS, FramePair
+from .sprites import FACTORS, Pairs
 
 _BLOCK = 256  # pairs per evaluated row block
 
 
-def _blocks(pairs: list[FramePair]):
-    """(pairs, x_prev rows, x_curr rows) for each block of a non-empty pair list."""
+def _blocks(pairs: Pairs):
+    """Each row block of a non-empty pair set, in order."""
     if not pairs:
         raise ValueError("evaluation needs a non-empty dataset")
     for start in range(0, len(pairs), _BLOCK):
-        chunk = pairs[start:start + _BLOCK]
-        yield chunk, np.stack([p.x_prev for p in chunk]), np.stack([p.x_curr for p in chunk])
+        yield pairs[start:start + _BLOCK]
 
 
-Passed = list[tuple[list[FramePair], ForwardResult]]  # what `hard_pass` returns
+Passed = list[tuple[Pairs, ForwardResult]]  # what `hard_pass` returns
 
 
-def hard_pass(params: ModelParams, pairs: list[FramePair]) -> Passed:
-    """(pairs, hard-mode ForwardResult) for each block of a non-empty pair list."""
+def hard_pass(params: ModelParams, pairs: Pairs) -> Passed:
+    """(pairs, hard-mode ForwardResult) for each block of a non-empty pair set."""
     sp = SharpenParams(gamma=1.0, sigma=0.0)
-    return [(chunk, forward_pair(x_prev, x_curr, params, sp, mode="hard"))
-            for chunk, x_prev, x_curr in _blocks(pairs)]
+    return [(chunk, forward_pair(chunk.x_prev, chunk.x_curr, params, sp, mode="hard"))
+            for chunk in _blocks(pairs)]
 
 
 def _check_component(params: ModelParams, component: int) -> None:
@@ -102,20 +101,17 @@ def consistency(passed: Passed) -> ConsistencyReport:
     agreement is the fraction of pairs where some head picked that index.
     Factors with no pairs are omitted and listed as such.
     """
-    picks: dict[str, list[np.ndarray]] = {f: [] for f in FACTORS}
-    for chunk, result in passed:
-        selected = np.stack([hard_select(w) for w in result.w_per_head], axis=1)
-        for pair, row in zip(chunk, selected):
-            picks[pair.changed_factor].append(row)
-
+    picks = np.concatenate([np.stack([hard_select(w) for w in result.w_per_head], axis=1)
+                            for _, result in passed])  # (pairs, heads)
+    labels = np.concatenate([chunk.labels for chunk, _ in passed])
     latent_dim = passed[0][1].w_per_head[0].shape[-1]
     stats: list[FactorStats] = []
     omitted: list[str] = []
     for factor in FACTORS:
-        if not picks[factor]:
+        rows = picks[labels == factor]
+        if not len(rows):
             omitted.append(factor)
             continue
-        rows = np.stack(picks[factor])  # (pairs, heads)
         modal = int(np.argmax(np.bincount(rows.ravel(), minlength=latent_dim)))
         hits = int((rows == modal).any(axis=1).sum())
         stats.append(FactorStats(factor=factor, modal_index=modal,
@@ -158,11 +154,11 @@ def traverse(params: ModelParams, frame: np.ndarray, component: int,
     return TraversalGrid(frames=frames, component=component, values=values)
 
 
-def observed_range(params: ModelParams, pairs: list[FramePair], component: int) -> tuple[float, float]:
-    """Min and max of one latent component over the current frames of a pair list."""
+def observed_range(params: ModelParams, pairs: Pairs, component: int) -> tuple[float, float]:
+    """Min and max of one latent component over the current frames of a pair set."""
     _check_component(params, component)
-    values = np.concatenate([encode(x_curr, params).data[:, component]
-                             for _, _, x_curr in _blocks(pairs)])
+    values = np.concatenate([encode(chunk.x_curr, params).data[:, component]
+                             for chunk in _blocks(pairs)])
     return float(values.min()), float(values.max())
 
 
@@ -252,10 +248,10 @@ def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: floa
     return "\n".join(lines) + "\n"
 
 
-def copy_baseline_mse(pairs: list[FramePair]) -> float:
+def copy_baseline_mse(pairs: Pairs) -> float:
     """Error of predicting the current frame as a copy of the previous one."""
     total = 0.0
-    for _, x_prev, x_curr in _blocks(pairs):
-        diff = x_prev - x_curr
+    for chunk in _blocks(pairs):
+        diff = chunk.x_prev - chunk.x_curr
         total += float(np.mean(diff * diff, axis=1).sum())
     return total / len(pairs)

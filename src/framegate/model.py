@@ -172,7 +172,6 @@ class ForwardResult:
     loss: Tensor
     w_per_head: list
     mask: Tensor
-    latent_prev: Tensor
     latent_curr: Tensor
     mixed: Tensor
 
@@ -233,7 +232,7 @@ def _gated(latent_prev: Tensor, latent_curr: Tensor, target: Tensor, params,
     x_hat = decode(mixed, params)
     loss = apply("mean-squared-error", [x_hat, target])
     return ForwardResult(x_hat=x_hat, loss=loss, w_per_head=weightings, mask=mask,
-                         latent_prev=latent_prev, latent_curr=latent_curr, mixed=mixed)
+                         latent_curr=latent_curr, mixed=mixed)
 
 
 def prepare_batch_params(params: ModelParams, tape: Tape):

@@ -33,11 +33,30 @@ class FactorVector:
     brightness: float
 
 
-@dataclass
-class FramePair:
-    x_prev: np.ndarray  # (n*n,) intensities in [0, 1]
-    x_curr: np.ndarray
-    changed_factor: str
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """Frame pairs as one array: frames[i] is pair i, labels[i] the factor it changes."""
+
+    frames: np.ndarray  # (count, 2, n*n) intensities in [0, 1]
+    labels: np.ndarray  # (count,) factor names
+
+    @property
+    def x_prev(self) -> np.ndarray:
+        return self.frames[:, 0]
+
+    @property
+    def x_curr(self) -> np.ndarray:
+        return self.frames[:, 1]
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, rows) -> Pairs:
+        """The pairs at a slice or an index array, frames with their labels."""
+        frames = self.frames[rows]
+        if frames.ndim != 3:
+            raise TypeError("select pairs with a slice or an index array, not a single index")
+        return Pairs(frames, self.labels[rows])
 
 
 def brightness_levels(levels: int) -> np.ndarray:
@@ -167,20 +186,18 @@ def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
     return info, labels
 
 
-def load_dataset(path) -> list[FramePair]:
-    """Read pairs back from a dataset directory.
-
-    Loaded intensities are the stored bytes over 255, so they sit within
-    1/510 of the originals. Every frame is a row view of one float array.
-    """
+def load_dataset(path, rows=slice(None)) -> Pairs:
+    """Read the pairs at `rows` (a slice or an index list; all by default) from a
+    dataset directory. The frames file is memory-mapped, so only those rows are
+    read; intensities are the stored bytes over 255, within 1/510 of the originals."""
     path = Path(path)
     info, labels = read_manifest(path / MANIFEST_NAME)
-    blob = (path / FRAMES_NAME).read_bytes()
-    if blob[:1] != bytes([BINARY_VERSION]):
-        raise ValueError(f"unknown binary version {blob[0] if blob else None!r}")
+    size = (path / FRAMES_NAME).stat().st_size
     expected = 1 + info.count * 2 * info.n * info.n
-    if len(blob) != expected:
-        raise ValueError(f"binary has {len(blob)} bytes, expected {expected}")
-    raw = np.frombuffer(blob, dtype=np.uint8, offset=1)
-    frames = np.divide(raw.reshape(info.count, 2, -1), 255.0)
-    return [FramePair(prev, curr, label) for (prev, curr), label in zip(frames, labels)]
+    if size != expected:
+        raise ValueError(f"binary has {size} bytes, expected {expected}")
+    blob = np.memmap(path / FRAMES_NAME, dtype=np.uint8, mode="r")
+    if blob[0] != BINARY_VERSION:
+        raise ValueError(f"unknown binary version {int(blob[0])}")
+    raw = blob[1:].view(np.ndarray).reshape(info.count, 2, -1)[rows]
+    return Pairs(np.divide(raw, 255.0), np.array(labels)[rows])

@@ -23,7 +23,7 @@ from .autodiff import Tape, backward
 from .gating import SharpenParams
 from .model import (ModelConfig, ModelParams, extract_grads, forward_batch,
                     prepare_batch_params)
-from .sprites import FramePair
+from .sprites import Pairs
 from .streams import stream
 
 CHECKPOINT_MAGIC = "framegate-checkpoint"
@@ -177,13 +177,7 @@ class TrainingDiverged(RuntimeError):
         return f"non-finite loss {self.value} at {where}"
 
 
-def _stack_pairs(pairs: list[FramePair], ids) -> tuple[np.ndarray, np.ndarray]:
-    prev = np.stack([pairs[i].x_prev for i in ids])
-    curr = np.stack([pairs[i].x_curr for i in ids])
-    return prev, curr
-
-
-def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: float,
+def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, gamma: float,
                 sigma: float, batch_size: int, rng: np.random.Generator) -> float:
     """One pass over the training pairs in a fresh shuffled order.
 
@@ -205,10 +199,9 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: list[FramePair], gamma: f
     total = 0.0
     for batch_index, start in enumerate(range(0, len(pairs), batch_size)):
         ids = order[start:start + batch_size]
-        x_prev, x_curr = _stack_pairs(pairs, ids)
         tape = Tape()
         batch_params, leaves = prepare_batch_params(params, tape)
-        result = forward_batch(x_prev, x_curr, batch_params, sp, mode="soft", rng=rng)
+        result = forward_batch(pairs.x_prev[ids], pairs.x_curr[ids], batch_params, sp, rng=rng)
         loss = result.loss.item()
         if not math.isfinite(loss):
             raise TrainingDiverged(batch_index, loss)
@@ -297,23 +290,23 @@ def _checkpoint_at(config: TrainConfig, params: ModelParams, epoch: int) -> Chec
                       params=params)
 
 
-def split_validation(pairs: list[FramePair]) -> tuple[list[FramePair], list[FramePair]]:
-    """Last tenth of the pairs, by index, is held out for validation."""
-    held = len(pairs) // 10
-    cut = len(pairs) - held
-    return pairs[:cut], pairs[cut:]
+def held_out(count: int) -> slice:
+    """Rows of a `count`-pair set held out for validation: the last tenth, by index."""
+    return slice(count - count // 10, count)
 
 
-def mean_frame(pairs: list[FramePair]) -> np.ndarray:
-    """Per-pixel mean over both frames of every pair."""
-    total = np.zeros_like(pairs[0].x_prev)
-    for pair in pairs:
-        total += pair.x_prev
-        total += pair.x_curr
-    return total / (2 * len(pairs))
+def split_validation(pairs: Pairs) -> tuple[Pairs, Pairs]:
+    """The training pairs, then the `held_out` validation pairs."""
+    val = held_out(len(pairs))
+    return pairs[:val.start], pairs[val]
 
 
-def fit(config: TrainConfig, pairs: list[FramePair], epochs: int, out_dir,
+def mean_frame(pairs: Pairs) -> np.ndarray:
+    """Per-pixel mean over both frames of every pair, summed frame after frame."""
+    return pairs.frames.reshape(2 * len(pairs), -1).sum(axis=0) / (2 * len(pairs))
+
+
+def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,
         quiet: bool = False) -> Checkpoint:
     """Train for `epochs` epochs, logging and checkpointing under out_dir.
 

@@ -1,4 +1,10 @@
-"""Shared pytest hooks: collect acceptance verdicts for the terminal summary."""
+"""Shared test helpers, and pytest hooks that collect acceptance verdicts
+for the terminal summary."""
+
+import numpy as np
+
+from framegate.sprites import FACTORS, Pairs, render, sample_pair
+from framegate.streams import stream
 
 CRITERION_LINES: list[str] = []
 
@@ -12,3 +18,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def sprite_pairs(seed, count, n=8):
+    """`count` rendered, unquantized pairs with 2-pixel sprites and 3 brightness
+    levels; pair i draws from stream(seed, i) and changes factor i mod 3."""
+    labels = [FACTORS[i % 3] for i in range(count)]
+    frames = [[render(v, n, 2) for v in sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)]
+              for i, factor in enumerate(labels)]
+    return Pairs(np.array(frames).reshape(count, 2, n * n), np.array(labels, dtype=str))

@@ -268,7 +268,7 @@ def test_criterion_6_traversal(world):
     monotone_pairs = -1
     pgm_ok = False
     if lo < hi:
-        grid = evaluation.traverse(run.final.params, world.val[0].x_curr, unit,
+        grid = evaluation.traverse(run.final.params, world.val.x_curr[0], unit,
                                    np.linspace(lo, hi, 8))
         centroids = [evaluation.centroid(f)[0] for f in grid.frames]
         deltas = np.diff(centroids)

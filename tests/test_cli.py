@@ -16,7 +16,7 @@ from framegate import cli, evaluation, sprites
 from framegate.model import ModelConfig, ModelParams, forward_pair
 from framegate.streams import stream
 from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
-                               save_checkpoint, settings)
+                               save_checkpoint, settings, split_validation)
 
 TINY_CONFIG = """
 # small enough to train in a test
@@ -133,6 +133,17 @@ def test_train_refuses_bad_settings_before_writing(tmp_path, capsys, line, key):
     capsys.readouterr()
     assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
     assert re.search(f"'?{key}'? must be", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_train_refuses_an_empty_dataset_before_writing(tmp_path, capsys):
+    data = gen(tmp_path, count=3)
+    manifest = data / sprites.MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace("count=3\n", "count=0\n"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.run(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert "count=0 must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -304,3 +315,38 @@ def test_eval_runs_one_hard_pass(tmp_path, capsys, monkeypatch):
     assert cli.run(["eval", "--checkpoint", str(path), "--data", str(data)]) == 0
     capsys.readouterr()
     assert calls == [256, 44]
+
+
+def test_eval_and_traverse_load_only_the_pairs_they_use(tmp_path, capsys, monkeypatch):
+    data = gen(tmp_path, count=30)
+    out = train(tmp_path, data)
+    ckpt = out / "checkpoint_final.txt"
+    load_dataset = sprites.load_dataset
+    loaded = []
+
+    def recorded(path, rows=slice(None)):
+        pairs = load_dataset(path, rows)
+        loaded.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(sprites, "load_dataset", recorded)
+    assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "report.txt")]) == 0
+    assert loaded == [3]
+    # The report is the one the whole dataset's validation split gives.
+    trained, val = load_checkpoint(ckpt), split_validation(load_dataset(data))[1]
+    passed, gamma = evaluation.hard_pass(trained.params, val), trained.gamma
+    assert (tmp_path / "report.txt").read_text() == evaluation.format_report(
+        gamma, evaluation.sharpness(passed, gamma), evaluation.hard_mode_mse(passed),
+        evaluation.copy_baseline_mse(val), evaluation.consistency(passed))
+    loaded.clear()
+    assert cli.run(["traverse", "--checkpoint", str(ckpt), "--data", str(data),
+                    "--pair-index", "4", "--component", "0", "--out", str(tmp_path / "a")]) == 0
+    assert loaded == [3, 1]
+    # Under ten pairs nothing is held out, so traverse sweeps over all of them.
+    small = gen(tmp_path, name="small", count=5)
+    loaded.clear()
+    assert cli.run(["traverse", "--checkpoint", str(ckpt), "--data", str(small),
+                    "--pair-index", "4", "--component", "0", "--out", str(tmp_path / "b")]) == 0
+    assert loaded == [0, 5, 1]
+    capsys.readouterr()

@@ -3,23 +3,16 @@
 import numpy as np
 import pytest
 
+from conftest import sprite_pairs
+
 from framegate import evaluation
 from framegate.gating import SharpenParams, sharpen
 from framegate.model import ModelConfig, ModelParams, decode, encode, forward_pair
-from framegate.sprites import FACTORS, FramePair, render, sample_pair
+from framegate.sprites import FACTORS, Pairs
 from framegate.streams import stream
 
 SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
                     enc_hidden=(16,), dec_hidden=(16,), gate_hidden=8)
-
-
-def sprite_pairs(seed, count, n=8):
-    pairs = []
-    for i in range(count):
-        factor = ("x", "y", "brightness")[i % 3]
-        prev, curr = sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)
-        pairs.append(FramePair(render(prev, n, 2), render(curr, n, 2), factor))
-    return pairs
 
 
 # ---- sharpness ----
@@ -46,7 +39,7 @@ def test_sharpness_approaches_one_for_committed_gates():
 def test_hard_pass_validation():
     params = ModelParams.zeros(SMALL)
     with pytest.raises(ValueError, match="non-empty"):
-        evaluation.hard_pass(params, [])
+        evaluation.hard_pass(params, sprite_pairs(0, 2)[:0])
 
 
 # ---- consistency ----
@@ -67,7 +60,8 @@ def test_consistency_on_uniform_gates_picks_lowest_index():
 
 def test_consistency_lists_missing_factors():
     params = ModelParams.zeros(SMALL)
-    only_x = [p for p in sprite_pairs(2, 12) if p.changed_factor == "x"]
+    pairs = sprite_pairs(2, 12)
+    only_x = pairs[pairs.labels == "x"]
     report = evaluation.consistency(evaluation.hard_pass(params, only_x))
     assert report.omitted == ["y", "brightness"]
     assert report.stats_for("x").count == len(only_x)
@@ -87,11 +81,11 @@ def test_block_evaluation_matches_the_per_pair_loop():
     pairs = sprite_pairs(9, 300)
     sp = SharpenParams(gamma=3.0)
     losses, maxima, picks = [], [], {f: [] for f in FACTORS}
-    for pair in pairs:
-        result = forward_pair(pair.x_prev, pair.x_curr, params, sp, mode="hard")
+    for (x_prev, x_curr), label in zip(pairs.frames, pairs.labels):
+        result = forward_pair(x_prev, x_curr, params, sp, mode="hard")
         losses.append(result.loss.item())
         maxima += [float(sharpen(w, sp).data.max()) for w in result.w_per_head]
-        picks[pair.changed_factor].append([int(np.argmax(w.data)) for w in result.w_per_head])
+        picks[label].append([int(np.argmax(w.data)) for w in result.w_per_head])
     passed = evaluation.hard_pass(params, pairs)
     assert [len(chunk) for chunk, _ in passed] == [256, 44]
     assert abs(evaluation.hard_mode_mse(passed) - np.mean(losses)) < 1e-12
@@ -108,7 +102,7 @@ def test_block_evaluation_matches_the_per_pair_loop():
 
 def test_traverse_at_current_value_reproduces_reconstruction():
     params = ModelParams.initialize(SMALL, stream(3, "init"))
-    frame = sprite_pairs(3, 1)[0].x_curr
+    frame = sprite_pairs(3, 1).x_curr[0]
     latent = encode(frame, params).data
     recon = decode(latent, params).data.reshape(8, 8)
     grid = evaluation.traverse(params, frame, 2, [float(latent[2])])
@@ -117,7 +111,7 @@ def test_traverse_at_current_value_reproduces_reconstruction():
 
 def test_traverse_orders_frames_by_value():
     params = ModelParams.initialize(SMALL, stream(4, "init"))
-    frame = sprite_pairs(4, 1)[0].x_curr
+    frame = sprite_pairs(4, 1).x_curr[0]
     grid = evaluation.traverse(params, frame, 0, [-2.0, 0.0, 2.0])
     assert grid.values == [-2.0, 0.0, 2.0]
     assert len(grid.frames) == 3
@@ -140,7 +134,7 @@ def test_observed_range_brackets_every_latent():
     params = ModelParams.initialize(SMALL, stream(5, "init"))
     pairs = sprite_pairs(5, 8)
     lo, hi = evaluation.observed_range(params, pairs, 1)
-    values = [float(encode(p.x_curr, params).data[1]) for p in pairs]
+    values = [float(encode(x_curr, params).data[1]) for x_curr in pairs.x_curr]
     # One block matmul and per-frame vector matmuls may differ in the last bit.
     assert abs(lo - min(values)) <= 1e-12 and abs(hi - max(values)) <= 1e-12
 
@@ -232,18 +226,16 @@ def test_hard_mode_mse_of_constant_decoder():
     # Zero parameters decode to 0.5 everywhere independent of the gating.
     params = ModelParams.zeros(SMALL)
     pairs = sprite_pairs(6, 6)
-    expected = float(np.mean([np.mean((0.5 - p.x_curr) ** 2) for p in pairs]))
+    expected = float(np.mean([np.mean((0.5 - x_curr) ** 2) for x_curr in pairs.x_curr]))
     assert abs(evaluation.hard_mode_mse(evaluation.hard_pass(params, pairs)) - expected) < 1e-15
 
 
 def test_copy_baseline_mse_by_hand():
-    a = FramePair(x_prev=np.array([0.0, 1.0]), x_curr=np.array([1.0, 1.0]),
-                  changed_factor="x")
-    b = FramePair(x_prev=np.array([0.5, 0.5]), x_curr=np.array([0.5, 0.5]),
-                  changed_factor="y")
-    assert evaluation.copy_baseline_mse([a, b]) == 0.25
+    pairs = Pairs(np.array([[[0.0, 1.0], [1.0, 1.0]],
+                            [[0.5, 0.5], [0.5, 0.5]]]), np.array(["x", "y"]))
+    assert evaluation.copy_baseline_mse(pairs) == 0.25
     with pytest.raises(ValueError, match="non-empty"):
-        evaluation.copy_baseline_mse([])
+        evaluation.copy_baseline_mse(pairs[:0])
 
 
 def test_format_report_roundtrips_floats():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME,
-                               FactorVector, FramePair, _quantize, brightness_levels,
+                               FactorVector, _quantize, brightness_levels,
                                generate_dataset, load_dataset, read_manifest, render,
                                sample_pair)
 from framegate.streams import stream
 
 
 def rendered_pair(rng, factor, n, s, levels):
-    prev, curr = sample_pair(rng, factor, n, s, levels)
-    return FramePair(render(prev, n, s), render(curr, n, s), factor)
+    """The (prev, curr) frames of one sampled pair, rendered unquantized."""
+    return tuple(render(v, n, s) for v in sample_pair(rng, factor, n, s, levels))
 
 
 # ---- rendering ----
@@ -56,28 +56,26 @@ def test_brightness_levels_are_evenly_spaced():
 # ---- pair sampling ----
 
 def test_sample_pair_changes_exactly_the_named_factor():
-    rng = np.random.default_rng(3)
     for trial in range(100):
         factor = FACTORS[trial % 3]
-        pair = rendered_pair(np.random.default_rng(trial), factor, n=8, s=3, levels=4)
-        assert pair.changed_factor == factor
-        assert not np.array_equal(pair.x_prev, pair.x_curr)
+        x_prev, x_curr = rendered_pair(np.random.default_rng(trial), factor, n=8, s=3, levels=4)
+        assert not np.array_equal(x_prev, x_curr)
         if factor == "brightness":
             # Same support, different level.
-            assert np.array_equal(pair.x_prev > 0, pair.x_curr > 0)
-            assert pair.x_prev.max() != pair.x_curr.max()
+            assert np.array_equal(x_prev > 0, x_curr > 0)
+            assert x_prev.max() != x_curr.max()
         else:
             # Same brightness, moved support.
-            assert pair.x_prev.max() == pair.x_curr.max()
-            assert not np.array_equal(pair.x_prev > 0, pair.x_curr > 0)
+            assert x_prev.max() == x_curr.max()
+            assert not np.array_equal(x_prev > 0, x_curr > 0)
 
 
 def test_sample_pair_x_move_stays_in_row():
     # A pure horizontal move keeps the set of occupied rows fixed.
     for trial in range(50):
-        pair = rendered_pair(np.random.default_rng(trial), "x", n=8, s=2, levels=3)
-        prev_rows = np.where(pair.x_prev.reshape(8, 8).any(axis=1))[0]
-        curr_rows = np.where(pair.x_curr.reshape(8, 8).any(axis=1))[0]
+        x_prev, x_curr = rendered_pair(np.random.default_rng(trial), "x", n=8, s=2, levels=3)
+        prev_rows = np.where(x_prev.reshape(8, 8).any(axis=1))[0]
+        curr_rows = np.where(x_curr.reshape(8, 8).any(axis=1))[0]
         assert np.array_equal(prev_rows, curr_rows)
 
 
@@ -114,7 +112,7 @@ def test_labels_cycle_through_factors(tmp_path):
     _, labels = read_manifest(tmp_path / MANIFEST_NAME)
     assert labels == ["x", "y", "brightness", "x", "y", "brightness", "x"]
     pairs = load_dataset(tmp_path)
-    assert [p.changed_factor for p in pairs] == labels
+    assert pairs.labels.tolist() == labels
 
 
 @pytest.mark.parametrize("n,s,levels", [(8, 2, 3), (16, 4, 5), (5, 1, 9), (8, 7, 2)])
@@ -132,29 +130,54 @@ def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, level
 def test_quantization_error_is_bounded(tmp_path):
     generate_dataset(tmp_path, count=9, seed=4, n=8, s=2, levels=3)
     loaded = load_dataset(tmp_path)
-    for i, pair in enumerate(loaded):
+    for i, frames in enumerate(loaded.frames):
         fresh = rendered_pair(stream(4, i), FACTORS[i % 3], n=8, s=2, levels=3)
-        assert np.abs(pair.x_prev - fresh.x_prev).max() <= 1 / 510 + 1e-12
-        assert np.abs(pair.x_curr - fresh.x_curr).max() <= 1 / 510 + 1e-12
+        assert np.abs(frames - np.stack(fresh)).max() <= 1 / 510 + 1e-12
 
 
 def test_loaded_frames_are_float_unit_interval(tmp_path):
     generate_dataset(tmp_path, count=3, seed=2, n=8, s=3, levels=4)
     raw = np.frombuffer((tmp_path / FRAMES_NAME).read_bytes(), dtype=np.uint8, offset=1)
     pairs = load_dataset(tmp_path)
-    loaded = np.stack([np.stack((p.x_prev, p.x_curr)) for p in pairs])
-    assert np.array_equal(loaded, raw.reshape(3, 2, 64).astype(np.float64) / 255.0)
-    for pair in pairs:
-        for frame in (pair.x_prev, pair.x_curr):
-            assert frame.dtype == np.float64
-            assert frame.shape == (64,)
-            assert frame.min() >= 0.0 and frame.max() <= 1.0
-    # Each frame is writable on its own: a write lands in that frame only.
-    untouched = [pairs[0].x_curr.copy(), pairs[1].x_prev.copy(), pairs[1].x_curr.copy()]
-    pairs[0].x_prev[:] = 0.5
-    assert np.all(pairs[0].x_prev == 0.5)
-    for before, after in zip(untouched, (pairs[0].x_curr, pairs[1].x_prev, pairs[1].x_curr)):
-        assert np.array_equal(before, after)
+    assert len(pairs) == 3
+    assert np.array_equal(pairs.frames, raw.reshape(3, 2, 64).astype(np.float64) / 255.0)
+    for frames in (pairs.x_prev, pairs.x_curr):
+        assert frames.dtype == np.float64
+        assert frames.shape == (3, 64)
+        assert frames.min() >= 0.0 and frames.max() <= 1.0
+    # x_prev and x_curr are views of frames: a write into one frame lands
+    # in that frame only.
+    before = pairs.frames.copy()
+    pairs.x_prev[0] = 0.5
+    assert np.all(pairs.frames[0, 0] == 0.5)
+    before[0, 0] = 0.5
+    assert np.array_equal(pairs.frames, before)
+
+
+def test_pairs_select_rows_with_their_labels(tmp_path):
+    generate_dataset(tmp_path, count=7, seed=2, n=8, s=3, levels=4)
+    pairs = load_dataset(tmp_path)
+    head = pairs[2:5]
+    assert len(head) == 3 and np.shares_memory(head.frames, pairs.frames)
+    assert np.array_equal(head.frames, pairs.frames[2:5])
+    assert head.labels.tolist() == ["brightness", "x", "y"]
+    picked = pairs[np.array([6, 0, 4])]
+    assert np.array_equal(picked.x_prev, pairs.frames[[6, 0, 4], 0])
+    assert np.array_equal(picked.x_curr, pairs.frames[[6, 0, 4], 1])
+    assert picked.labels.tolist() == ["x", "x", "y"]
+    with pytest.raises(TypeError, match="single index"):
+        pairs[3]
+
+
+def test_load_dataset_selects_rows(tmp_path):
+    generate_dataset(tmp_path, count=7, seed=2, n=8, s=3, levels=4)
+    pairs = load_dataset(tmp_path)
+    for rows in (slice(2, 5), slice(6, 7), slice(7, 7), [6, 0, 4]):
+        loaded = load_dataset(tmp_path, rows)
+        assert np.array_equal(loaded.frames, pairs.frames[rows])
+        assert loaded.labels.tolist() == pairs.labels[rows].tolist()
+        # A plain in-memory array: nothing keeps the frames file mapped.
+        assert type(loaded.frames) is np.ndarray and loaded.frames.base is None
 
 
 def test_generate_rejects_nonpositive_count(tmp_path):
@@ -176,6 +199,9 @@ def test_load_rejects_truncated_binary(tmp_path):
     blob = (tmp_path / FRAMES_NAME).read_bytes()
     (tmp_path / FRAMES_NAME).write_bytes(blob[:-10])
     with pytest.raises(ValueError, match="bytes"):
+        load_dataset(tmp_path)
+    (tmp_path / FRAMES_NAME).write_bytes(b"")
+    with pytest.raises(ValueError, match="binary has 0 bytes"):
         load_dataset(tmp_path)
 
 

@@ -7,26 +7,19 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import sprite_pairs
+
 from framegate import evaluation, trainer
 from framegate.gating import SharpenParams
 from framegate.model import ModelConfig, ModelParams, forward_batch
-from framegate.sprites import FactorVector, FramePair, render, sample_pair
+from framegate.sprites import FactorVector, Pairs, generate_dataset, load_dataset, render
 from framegate.streams import stream
 from framegate.trainer import (Adam, Checkpoint, CheckpointError, Schedule, TrainConfig,
                                TrainingDiverged, fit, load_checkpoint, mean_frame,
-                               save_checkpoint, schedule_at, split_validation, train_epoch)
+                               held_out, save_checkpoint, schedule_at, split_validation, train_epoch)
 
 SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
                     enc_hidden=(16,), dec_hidden=(16,), gate_hidden=8)
-
-
-def sprite_pairs(seed, count, n=8):
-    pairs = []
-    for i in range(count):
-        factor = ("x", "y", "brightness")[i % 3]
-        prev, curr = sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)
-        pairs.append(FramePair(render(prev, n, 2), render(curr, n, 2), factor))
-    return pairs
 
 
 # ---- schedule ----
@@ -147,15 +140,14 @@ def test_adam_rejects_negative_lr():
 # ---- train_epoch ----
 
 def test_train_epoch_overfits_a_single_pair():
-    pair = FramePair(x_prev=render(FactorVector(1, 2, 0.8), 8, 2),
-                     x_curr=render(FactorVector(4, 2, 0.8), 8, 2),
-                     changed_factor="x")
+    pair = Pairs(np.array([[render(FactorVector(1, 2, 0.8), 8, 2),
+                            render(FactorVector(4, 2, 0.8), 8, 2)]]), np.array(["x"]))
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     opt = Adam(lr=1e-2)
-    first = train_epoch(params, opt, [pair], 1.0, 0.0, 1, stream(0, "epoch", 0))
+    first = train_epoch(params, opt, pair, 1.0, 0.0, 1, stream(0, "epoch", 0))
     last = first
     for step in range(1, 200):
-        last = train_epoch(params, opt, [pair], 1.0, 0.0, 1, stream(0, "epoch", step))
+        last = train_epoch(params, opt, pair, 1.0, 0.0, 1, stream(0, "epoch", step))
     assert last < 0.1 * first
 
 
@@ -172,8 +164,8 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
     total = 0.0
     for start in range(0, 7, 3):
         ids = order[start:start + 3]
-        xp = np.stack([pairs[i].x_prev for i in ids])
-        xc = np.stack([pairs[i].x_curr for i in ids])
+        xp = np.stack([pairs.frames[i, 0] for i in ids])
+        xc = np.stack([pairs.frames[i, 1] for i in ids])
         res = forward_batch(xp, xc, params, sp, mode="soft",
                             rng=np.random.default_rng(0))
         total += res.loss.item() * len(ids)
@@ -193,7 +185,7 @@ def test_train_epoch_is_deterministic_for_a_seed():
 def test_train_epoch_input_validation():
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     with pytest.raises(ValueError, match="non-empty"):
-        train_epoch(params, Adam(), [], 1.0, 0.0, 4, stream(0, "e"))
+        train_epoch(params, Adam(), sprite_pairs(0, 2)[:0], 1.0, 0.0, 4, stream(0, "e"))
     with pytest.raises(ValueError, match="batch_size"):
         train_epoch(params, Adam(), sprite_pairs(0, 2), 1.0, 0.0, 0, stream(0, "e"))
 
@@ -335,13 +327,34 @@ def test_split_validation_holds_out_last_tenth():
     pairs = sprite_pairs(0, 30)
     train, val = split_validation(pairs)
     assert len(train) == 27 and len(val) == 3
-    assert val[0] is pairs[27]
+    assert np.shares_memory(val.frames, pairs.frames)
+    assert np.array_equal(val.frames, pairs.frames[27:])
+    assert val.labels.tolist() == pairs.labels[27:].tolist()
+    assert held_out(30) == slice(27, 30)
+    assert held_out(9) == slice(9, 9)  # too few pairs to hold any out
 
 
 def test_mean_frame_averages_both_frames_of_every_pair():
     pairs = sprite_pairs(4, 7)
-    stacked = np.stack([p.x_prev for p in pairs] + [p.x_curr for p in pairs])
+    stacked = np.concatenate([pairs.x_prev, pairs.x_curr])
     assert np.allclose(mean_frame(pairs), stacked.mean(axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize("side", [16, 32])
+def test_mean_frame_of_a_loaded_set_matches_the_per_pair_loop(tmp_path, side):
+    # The reference adds frame after frame, prev before curr; the block sum
+    # must keep that order bit for bit, since the decoder bias starts from it.
+    def per_pair(frames):
+        total = np.zeros(side * side)
+        for x_prev, x_curr in frames:
+            total += x_prev
+            total += x_curr
+        return total / (2 * len(frames))
+
+    generate_dataset(tmp_path, count=3000, seed=0, n=side)
+    pairs = load_dataset(tmp_path)
+    for subset in (pairs, split_validation(pairs)[0]):
+        assert np.array_equal(mean_frame(subset), per_pair(subset.frames))
 
 
 def test_fit_runs_and_checkpoints(tmp_path):
