@@ -190,7 +190,7 @@ def write_pgm(frame: np.ndarray, path) -> None:
         raise ValueError(f"write_pgm expects a 2-d frame, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("write_pgm needs a non-empty frame")
-    if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # nan fails both
         raise ValueError("intensities must lie in [0, 1]")
     height, width = arr.shape
     payload = np.floor(arr * 255.0 + 0.5).astype(np.uint8).tobytes()

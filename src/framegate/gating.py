@@ -39,9 +39,10 @@ class SharpenParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        # Written `not x >= bound` so that nan is refused too.
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 

@@ -117,7 +117,7 @@ class Adam:
 
     def __init__(self, lr: float = TrainConfig.lr, beta1: float = TrainConfig.beta1,
                  beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps):
-        if lr < 0:
+        if not lr >= 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.lr = lr
         self.beta1 = beta1

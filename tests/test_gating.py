@@ -187,6 +187,10 @@ def test_sharpen_params_validated():
         SharpenParams(gamma=0.5)
     with pytest.raises(ValueError, match="sigma"):
         SharpenParams(gamma=1.0, sigma=-0.1)
+    with pytest.raises(ValueError, match="gamma"):
+        SharpenParams(gamma=float("nan"))
+    with pytest.raises(ValueError, match="sigma"):
+        SharpenParams(gamma=1.0, sigma=float("nan"))
 
 
 # ---- combine_heads / mix / hard_select ----

@@ -156,16 +156,48 @@ def test_soft_mode_requires_rng_when_noisy():
 
 
 def test_forward_pair_loss_nonnegative_and_result_fields():
+    # A single pair runs as a one-row block: every result has one row.
     rng = np.random.default_rng(9)
     params = ModelParams.initialize(SMALL, rng)
-    res = forward_pair(frames(rng, SMALL), frames(rng, SMALL), params,
-                       SharpenParams(gamma=1.0), mode="soft",
-                       rng=np.random.default_rng(0))
+    x_prev, x_curr = frames(rng, SMALL), frames(rng, SMALL)
+    sp = SharpenParams(gamma=1.0)
+    res = forward_pair(x_prev, x_curr, params, sp, mode="soft", rng=np.random.default_rng(0))
     assert isinstance(res, ForwardResult)
     assert res.loss.item() >= 0.0
     assert len(res.w_per_head) == SMALL.num_heads
-    assert res.mask.shape == (SMALL.latent_dim,)
-    assert res.x_hat.shape == (SMALL.pixels,)
+    assert res.w_per_head[0].shape == (1, SMALL.latent_dim)
+    assert res.mask.shape == (1, SMALL.latent_dim)
+    assert res.x_hat.shape == (1, SMALL.pixels)
+    block = forward_pair(x_prev[None], x_curr[None], params, sp, mode="soft",
+                         rng=np.random.default_rng(0))
+    for field in ("x_hat", "mask", "latent_curr", "mixed"):
+        assert np.array_equal(getattr(res, field).data, getattr(block, field).data), field
+    assert res.loss.item() == block.loss.item()
+
+
+def test_mismatched_or_non_2d_blocks_rejected():
+    params = ModelParams.zeros(SMALL)
+    sp = SharpenParams(gamma=1.0)
+    with pytest.raises(ValueError, match="matching"):
+        forward_pair(np.zeros((2, SMALL.pixels)), np.zeros((3, SMALL.pixels)), params, sp,
+                     mode="hard")
+    with pytest.raises(ValueError, match="matching"):
+        forward_pair(np.zeros(SMALL.pixels), np.zeros((2, SMALL.pixels)), params, sp,
+                     mode="hard")
+    block = np.zeros((1, 2, SMALL.pixels))
+    with pytest.raises(ValueError, match="matching"):
+        forward_pair(block, block, params, sp, mode="hard")
+
+
+def test_noise_free_soft_mode_needs_no_rng():
+    rng = np.random.default_rng(13)
+    params = ModelParams.initialize(SMALL, rng)
+    xp, xc = frames(rng, SMALL, 3), frames(rng, SMALL, 3)
+    sp = SharpenParams(gamma=3.0)
+    without = forward_pair(xp, xc, params, sp, mode="soft")
+    seeded = forward_pair(xp, xc, params, sp, mode="soft", rng=np.random.default_rng(0))
+    assert without.loss.item() == seeded.loss.item()
+    assert np.array_equal(without.mask.data, seeded.mask.data)
 
 
 def test_unknown_mode_rejected():

@@ -135,6 +135,8 @@ def test_adam_rejects_a_gradient_of_another_shape():
 def test_adam_rejects_negative_lr():
     with pytest.raises(ValueError, match="lr"):
         Adam(lr=-1e-3)
+    with pytest.raises(ValueError, match="lr"):
+        Adam(lr=float("nan"))
 
 
 # ---- train_epoch ----
