@@ -11,58 +11,38 @@ import argparse
 import inspect
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import atomic, evaluation, keyvalue, sprites
-from .model import ModelConfig
-from .trainer import (Schedule, TrainConfig, fit, from_settings, held_out, load_checkpoint,
-                      settings)
+from .trainer import TrainConfig, fit, from_settings, held_out, load_checkpoint, settings
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a training run needs besides the dataset and output paths.
+_SETTINGS = settings(TrainConfig())
 
-    Besides `epochs` and `image_side`, the fields are the flat run settings
-    of `trainer.settings`, with the defaults of the dataclasses that own them.
-    """
 
-    seed: int = TrainConfig.seed
-    epochs: int = 60
-    image_side: int | None = None  # usually taken from the dataset manifest
-    latent_dim: int = ModelConfig.latent_dim
-    num_heads: int = ModelConfig.num_heads
-    enc_hidden: tuple[int, ...] = ModelConfig.enc_hidden
-    dec_hidden: tuple[int, ...] = ModelConfig.dec_hidden
-    gate_hidden: int = ModelConfig.gate_hidden
-    gamma0: float = Schedule.gamma0
-    gamma_slope: float = Schedule.gamma_slope
-    sigma: float = Schedule.sigma
-    lr: float = TrainConfig.lr
-    beta1: float = TrainConfig.beta1
-    beta2: float = TrainConfig.beta2
-    eps: float = TrainConfig.eps
-    batch_size: int = TrainConfig.batch_size
-    checkpoint_every: int = TrainConfig.checkpoint_every
+def _train_config(self, image_side: int) -> TrainConfig:
+    if self.image_side is not None and self.image_side != image_side:
+        raise ValueError(
+            f"config image_side={self.image_side} does not match dataset n={image_side}")
+    return from_settings({**asdict(self), "image_side": image_side})
 
-    def train_config(self, image_side: int) -> TrainConfig:
-        if self.image_side is not None and self.image_side != image_side:
-            raise ValueError(
-                f"config image_side={self.image_side} does not match dataset n={image_side}")
-        return from_settings({**asdict(self), "image_side": image_side})
+
+# Everything a training run needs besides the dataset and output paths:
+# `epochs`, `image_side` (usually taken from the dataset manifest), then every
+# other key of `trainer.settings`, with the default of the dataclass that owns it.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("epochs", int, 60), ("image_side", int | None, None),
+     *((key, type(value), value) for key, value in _SETTINGS.items() if key != "image_side")],
+    namespace={"__module__": __name__, "train_config": _train_config}, frozen=True)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Flat key=value lines (see `keyvalue.read`) naming RunConfig fields."""
-    examples = {**settings(TrainConfig()), "epochs": RunConfig.epochs}
-    return RunConfig(**keyvalue.read(text, examples, source))
-
-
-def load_run_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(), source=str(path))
+    return RunConfig(**keyvalue.read(text, {**_SETTINGS, "epochs": RunConfig.epochs}, source))
 
 
 def _cmd_gen_data(args) -> int:
@@ -73,7 +53,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = load_run_config(args.config) if args.config else RunConfig()
+    config = (parse_config_text(Path(args.config).read_text(), source=args.config)
+              if args.config else RunConfig())
     pairs = sprites.load_dataset(args.data)
     fit(config.train_config(math.isqrt(pairs.frames.shape[-1])), pairs, config.epochs, args.out)
     return 0

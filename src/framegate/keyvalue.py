@@ -2,7 +2,8 @@
 
 One line per key. The reader skips blank lines and `#` comments and types
 each value after an example value: int, float, str, or a tuple of ints
-written comma-separated. Floats are written with repr, so they read back
+written comma-separated, where an empty value is the empty tuple and an
+empty item is refused. Floats are written with repr, so they read back
 bit-exact, and must be finite.
 """
 
@@ -24,7 +25,7 @@ def _format(value) -> str:
 
 def _parse(example, text: str):
     if isinstance(example, tuple):
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        return tuple(int(v) for v in text.split(",")) if text else ()
     return type(example)(text)
 
 

@@ -109,20 +109,16 @@ def from_settings(values: dict) -> TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over one flat parameter vector.
+    """Adaptive-moment gradient descent over one flat parameter vector, with
+    the `lr`, `beta1`, `beta2` and `eps` of a TrainConfig, which checks them.
 
     The moments `m` and `v` and two scratch vectors are allocated on the
     first step; every step after that allocates nothing.
     """
 
-    def __init__(self, lr: float = TrainConfig.lr, beta1: float = TrainConfig.beta1,
-                 beta2: float = TrainConfig.beta2, eps: float = TrainConfig.eps):
-        if not lr >= 0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, config: TrainConfig = TrainConfig()):
+        self.lr, self.beta1, self.beta2 = config.lr, config.beta1, config.beta2
+        self.eps = config.eps
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -331,7 +327,7 @@ def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,
 
     params = ModelParams.initialize(config.model, stream(config.seed, "init"),
                                     mean_frame=mean_frame(train_pairs))
-    opt = Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    opt = Adam(config)
     save_checkpoint(_checkpoint_at(config, params, 0), out_dir / "checkpoint_epoch_0000.txt")
 
     with open(out_dir / "log.tsv", "w") as log:

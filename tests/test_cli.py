@@ -5,14 +5,14 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import framegate
-from framegate import cli, evaluation, sprites
+from framegate import cli, evaluation, keyvalue, sprites
 from framegate.model import ModelConfig, ModelParams, forward_pair
 from framegate.streams import stream
 from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
@@ -58,6 +58,7 @@ def test_parse_config_accepts_comments_and_lists():
     assert config.enc_hidden == (16,)
     assert config.epochs == 2
     assert cli.parse_config_text("enc_hidden = 128, 64\n").enc_hidden == (128, 64)
+    assert cli.parse_config_text("enc_hidden =\n").enc_hidden == ()
     assert cli.parse_config_text("") == cli.RunConfig()
 
 
@@ -70,6 +71,10 @@ def test_parse_config_reports_line_numbers():
         cli.parse_config_text("seed = 1\n\nseed = 2\n")
     with pytest.raises(ValueError, match=":1.*bad value.*'lr'"):
         cli.parse_config_text("lr = fast\n")
+    with pytest.raises(ValueError, match=":2.*bad value.*'enc_hidden'"):
+        cli.parse_config_text("seed = 1\nenc_hidden = 128,,64\n")
+    with pytest.raises(ValueError, match=":1.*bad value.*'enc_hidden'"):
+        cli.parse_config_text("enc_hidden = 128,\n")
 
 
 def test_run_config_checks_dataset_side():
@@ -92,13 +97,31 @@ def test_settings_schema_has_one_source():
                           *(f.name for f in fields(TrainConfig)
                             if f.name not in ("model", "schedule"))]
 
-    # RunConfig is the one remaining copy of the key list; its defaults are read
-    # from the owning dataclasses, so both must agree key for key.
-    run_defaults = {f.name: f.default for f in fields(cli.RunConfig)
-                    if f.name not in ("epochs", "image_side")}
+    # RunConfig is built from the settings keys: `epochs` and `image_side`
+    # lead, then every other key in order with its owning dataclass's default.
     defaults = settings(TrainConfig())
     del defaults["image_side"]
-    assert run_defaults == defaults
+    assert [(f.name, f.default) for f in fields(cli.RunConfig)] == [
+        ("epochs", 60), ("image_side", None), *defaults.items()]
+
+
+def test_run_config_replace_gives_the_direct_train_config():
+    config = replace(cli.RunConfig(seed=1), batch_size=256, num_heads=2).train_config(32)
+    assert config == TrainConfig(model=ModelConfig(image_side=32, num_heads=2),
+                                 batch_size=256, seed=1)
+
+
+def test_config_file_sets_every_setting():
+    values = {"image_side": 8, "latent_dim": 6, "num_heads": 2, "enc_hidden": (24, 12),
+              "dec_hidden": (10,), "gate_hidden": 5, "gamma0": 3.0, "gamma_slope": 0.5,
+              "sigma": 0.0, "lr": 0.01, "beta1": 0.5, "beta2": 0.75, "eps": 1e-6,
+              "batch_size": 7, "checkpoint_every": 3, "seed": 9}
+    defaults = settings(TrainConfig())
+    assert list(values) == list(defaults)
+    assert all(values[key] != defaults[key] for key in values)
+    read = settings(cli.parse_config_text(keyvalue.write(values)).train_config(8))
+    assert [(key, type(value), value) for key, value in read.items()] == \
+        [(key, type(value), value) for key, value in values.items()]
 
 
 # ---- exit codes ----

@@ -15,6 +15,10 @@ if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
     exit 2
 fi
+if [ -d "$2" ] && [ -n "$(ls -A "$2")" ]; then
+    echo "$0: OUT $2 is not empty" >&2
+    exit 2
+fi
 src=$(cd "$1" && pwd)/src
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
