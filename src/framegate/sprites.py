@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, keyvalue
-from .streams import stream
+from .streams import streams
 
 FACTORS = ("x", "y", "brightness")
 
@@ -131,6 +131,9 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
 
     Pair i draws from stream(seed, i) and changes factor i mod 3, so any
     pair can be regenerated without the rest and reruns are byte-identical.
+    The pair streams come from `streams(seed, count)`, which derives their
+    seeds a block of pairs at a time and makes each generator when its pair
+    is drawn.
     Every pair is drawn before out_dir is made, so bad arguments leave no
     directory behind.
     """
@@ -139,8 +142,8 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     labels = [FACTORS[i % len(FACTORS)] for i in range(count)]
-    frames = [v for i, factor in enumerate(labels)
-              for v in sample_pair(stream(seed, i), factor, n, s, levels)]
+    frames = [v for rng, factor in zip(streams(seed, count), labels)
+              for v in sample_pair(rng, factor, n, s, levels)]
     # _quantize is elementwise and keeps 0 at 0: each frame's lit pixels get its brightness's byte.
     lit = _quantize(np.array([v.brightness for v in frames]))
     corners = np.array([(v.y, v.x) for v in frames])[:, :, None]

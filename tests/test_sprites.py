@@ -115,14 +115,18 @@ def test_labels_cycle_through_factors(tmp_path):
     assert pairs.labels.tolist() == labels
 
 
-@pytest.mark.parametrize("n,s,levels", [(8, 2, 3), (16, 4, 5), (5, 1, 9), (8, 7, 2)])
-def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, levels):
-    # The reference is the per-frame render, so an off-by-one in the
-    # dataset raster shows as a differing byte.
-    generate_dataset(tmp_path, count=13, seed=3, n=n, s=s, levels=levels)
+@pytest.mark.parametrize("n,s,levels,seed", [(8, 2, 3, 3), (16, 4, 5, 3), (5, 1, 9, 3),
+                                               (8, 7, 2, 3), (8, 2, 3, 2**32 + 1)],
+                         ids=["8-2-3", "16-4-5", "5-1-9", "8-7-2", "8-2-3-two-word-seed"])
+def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, levels, seed):
+    # The reference is the per-frame render, with each pair drawn from
+    # numpy's own SeedSequence, so an off-by-one in the dataset raster or a
+    # wrong pair stream shows as a differing byte.
+    generate_dataset(tmp_path, count=13, seed=seed, n=n, s=s, levels=levels)
     expected = bytearray([BINARY_VERSION])
     for i in range(13):
-        for factors in sample_pair(stream(3, i), FACTORS[i % 3], n, s, levels):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        for factors in sample_pair(rng, FACTORS[i % 3], n, s, levels):
             expected += _quantize(render(factors, n, s)).tobytes()
     assert (tmp_path / FRAMES_NAME).read_bytes() == bytes(expected)
 
