@@ -2,7 +2,7 @@
 
 Everything here runs with the noise off and, where a discrete choice is
 needed, uses the hard argmax selection. `hard_pass` runs a pair set once,
-in row blocks of up to 256 pairs with one hard-mode `forward_pair` each;
+in row blocks of up to 256 pairs with one hard-gated `forward_pair` each;
 `sharpness`, `hard_mode_mse` and `consistency` are reductions of its
 result. Frames go to disk as binary PGM (P5) images so the traversal grids
 can be eyeballed anywhere.
@@ -35,9 +35,9 @@ Passed = list[tuple[Pairs, ForwardResult]]  # what `hard_pass` returns
 
 
 def hard_pass(params: ModelParams, pairs: Pairs) -> Passed:
-    """(pairs, hard-mode ForwardResult) for each block of a non-empty pair set."""
-    sp = SharpenParams(gamma=1.0, sigma=0.0)
-    return [(chunk, forward_pair(chunk.x_prev, chunk.x_curr, params, sp, mode="hard"))
+    """(pairs, ForwardResult) for each block of a non-empty pair set, the
+    gate hard (no SharpenParams): each head swaps its argmax component."""
+    return [(chunk, forward_pair(chunk.x_prev, chunk.x_curr, params, None))
             for chunk in _blocks(pairs)]
 
 

@@ -176,17 +176,18 @@ class ForwardResult:
     mixed: Tensor
 
 
-def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams,
-                 mode: str = "soft", rng: np.random.Generator | None = None) -> ForwardResult:
+def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
+                 rng: np.random.Generator | None = None) -> ForwardResult:
     """Gated reconstruction of the current frames from (batch, pixels) blocks
     of previous and current frames; a single pair of frames runs as a one-row
     block, so every result has one row per pair.
 
     Both blocks go through the encoder as one stacked batch. Each head scores
     the latent change h_curr - h_prev and its elementwise square
-    (`gating.head_input`), never the two latents themselves. "soft" sharpens
-    each head's weighting (drawing noise from rng when sigma > 0); "hard"
-    swaps exactly the argmax component per head and is rng-independent.
+    (`gating.head_input`), never the two latents themselves. Given
+    SharpenParams, each head's weighting is sharpened (drawing noise from rng
+    when sigma > 0); given None, the hard gate swaps exactly the argmax
+    component per head and ignores rng.
     w_per_head holds the raw simplex weightings before sharpening. The loss
     is the mean squared pixel error against x_curr, over every pixel of every
     row.
@@ -194,8 +195,6 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams,
     x_prev, x_curr = np.atleast_2d(x_prev), np.atleast_2d(x_curr)
     if x_prev.shape != x_curr.shape or x_prev.ndim != 2:
         raise ValueError(f"expected matching (batch, pixels) blocks, got {x_prev.shape} and {x_curr.shape}")
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
     b = x_prev.shape[0]
     stacked = encode(constant(np.concatenate([x_prev, x_curr], axis=0)), params)
     latent_prev = apply("slice", [stacked], {"axis": 0, "range": (0, b)})
@@ -203,7 +202,7 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams,
     heads = [GatingHead(*(params.arrays[f"head{k}.{f}"] for f in _HEAD_FIELDS))
              for k in range(params.config.num_heads)]
     weightings = [gate_weights(latent_prev, latent_curr, head) for head in heads]
-    if mode == "soft":
+    if sharpen_params is not None:
         chosen = [sharpen(w, sharpen_params, rng) for w in weightings]
     else:
         eye = np.eye(latent_prev.shape[-1])
@@ -216,10 +215,10 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams,
                          latent_curr=latent_curr, mixed=mixed)
 
 
-def forward_batch(x_prev, x_curr, params, sharpen_params: SharpenParams, mode: str = "soft",
+def forward_batch(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
                   rng: np.random.Generator | None = None) -> ForwardResult:
     """`forward_pair` under the name `train_epoch` calls and the benchmark pins."""
-    return forward_pair(x_prev, x_curr, params, sharpen_params, mode, rng)
+    return forward_pair(x_prev, x_curr, params, sharpen_params, rng)
 
 
 def prepare_batch_params(params: ModelParams, tape: Tape):

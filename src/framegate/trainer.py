@@ -6,7 +6,9 @@ starts from the mean training frame (its output bias is the logit of that
 frame), so the first updates do not drive the sigmoid output into
 saturation. One master seed drives parameter init and the per-epoch
 shuffle/noise streams, so a rerun with the same seed, config and dataset is
-byte-identical.
+byte-identical. An epoch's sharpening and stream follow from the settings
+and the epoch index alone: `train_epoch` and `Checkpoint` take no other
+epoch state.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ class Schedule:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
-def schedule_at(schedule: Schedule, epoch: int) -> tuple[float, float]:
-    """(gamma, sigma) in effect for a given epoch index."""
+def schedule_at(schedule: Schedule, epoch: int) -> SharpenParams:
+    """The sharpening in effect for a given epoch index."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return schedule.gamma0 + schedule.gamma_slope * epoch, schedule.sigma
+    return SharpenParams(gamma=schedule.gamma0 + schedule.gamma_slope * epoch,
+                         sigma=schedule.sigma)
 
 
 @dataclass(frozen=True)
@@ -161,46 +164,39 @@ class Adam:
 class TrainingDiverged(RuntimeError):
     """Raised when a batch produces a non-finite loss."""
 
-    def __init__(self, batch_index: int, value: float, epoch: int | None = None):
-        self.batch_index = batch_index
-        self.value = value
-        self.epoch = epoch
-        super().__init__(f"non-finite loss {value} at batch {batch_index}")
-
-    def __str__(self) -> str:
-        where = f"epoch {self.epoch}, batch {self.batch_index}" if self.epoch is not None \
-            else f"batch {self.batch_index}"
-        return f"non-finite loss {self.value} at {where}"
+    def __init__(self, epoch: int, batch_index: int, value: float):
+        self.epoch, self.batch_index, self.value = epoch, batch_index, value
+        super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch_index}")
 
 
-def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, gamma: float,
-                sigma: float, batch_size: int, rng: np.random.Generator) -> float:
-    """One pass over the training pairs in a fresh shuffled order.
+def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfig,
+                epoch: int) -> float:
+    """Epoch `epoch` of a run: one pass over the pairs in a fresh shuffled order.
 
+    The sharpening is `schedule_at(config.schedule, epoch)`; the stream
+    (config.seed, "epoch", epoch) draws the shuffle and the sharpening noise.
     Each batch's gradients are gathered into one flat vector laid out like
-    `params.flat`, which Adam then updates in place. The rng drives both the
-    shuffle and the sharpening noise. Returns the
-    mean training loss weighted by batch size. Raises TrainingDiverged as
-    soon as a batch loss stops being finite, leaving later batches untouched.
+    `params.flat`, which Adam then updates in place. Returns the mean
+    training loss weighted by batch size. Raises TrainingDiverged as soon as
+    a batch loss stops being finite, leaving later batches untouched.
     """
     if not pairs:
         raise ValueError("train_epoch needs a non-empty dataset")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if params.flat is None:
         raise ValueError("train_epoch needs parameters that own a flat vector")
+    sp = schedule_at(config.schedule, epoch)
+    rng = stream(config.seed, "epoch", epoch)
     order = rng.permutation(len(pairs))
-    sp = SharpenParams(gamma=gamma, sigma=sigma)
     grad = np.empty_like(params.flat)
     total = 0.0
-    for batch_index, start in enumerate(range(0, len(pairs), batch_size)):
-        ids = order[start:start + batch_size]
+    for batch_index, start in enumerate(range(0, len(pairs), config.batch_size)):
+        ids = order[start:start + config.batch_size]
         tape = Tape()
         batch_params, leaves = prepare_batch_params(params, tape)
         result = forward_batch(pairs.x_prev[ids], pairs.x_curr[ids], batch_params, sp, rng=rng)
         loss = result.loss.item()
         if not math.isfinite(loss):
-            raise TrainingDiverged(batch_index, loss)
+            raise TrainingDiverged(epoch, batch_index, loss)
         grads = extract_grads(leaves, backward(result.loss))
         np.concatenate([g.reshape(-1) for g in grads.values()], out=grad)
         opt.step(params.flat, grad)
@@ -210,23 +206,26 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, gamma: float,
 
 @dataclass
 class Checkpoint:
-    """The run settings, epoch state and parameters a run evaluates from. It
-    holds no Adam moments, so a run cannot resume from it. The master seed
-    doubles as the rng state: every stream is re-derived from (seed, purpose,
-    epoch)."""
+    """The run settings, the number of epochs trained and the parameters a
+    run evaluates from. Everything else about the epoch follows from these:
+    the sharpening from `schedule_at`, and every stream from (seed, purpose,
+    epoch). It holds no Adam moments, so a run cannot resume from it."""
 
     config: TrainConfig
     epoch: int
-    gamma: float
-    sigma: float
     params: ModelParams
+
+    @property
+    def gamma(self) -> float:
+        return schedule_at(self.config.schedule, self.epoch).gamma
 
 
 def _header(ckpt: Checkpoint, payload: bytes) -> dict:
-    """The key=value header of a checkpoint: every setting, the epoch state,
-    then the sha256 of the payload."""
-    return {**settings(ckpt.config), "epoch": ckpt.epoch, "gamma": ckpt.gamma,
-            "sigma_at_epoch": ckpt.sigma, "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    """The key=value header of a checkpoint: every setting, the epoch and the
+    schedule's values at it, then the sha256 of the payload."""
+    sp = schedule_at(ckpt.config.schedule, ckpt.epoch)
+    return {**settings(ckpt.config), "epoch": ckpt.epoch, "gamma": sp.gamma,
+            "sigma_at_epoch": sp.sigma, "payload_sha256": hashlib.sha256(payload).hexdigest()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -245,9 +244,10 @@ class CheckpointError(ValueError):
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; errors name the offending key or parameter.
 
-    The payload must have the size the header's model settings give and
-    match its sha256, and every value must be finite. The parameters own a
-    fresh flat vector copied from the payload.
+    The epoch must be >= 0, and `gamma` and `sigma_at_epoch` must be the
+    schedule's values at it. The payload must have the size the header's
+    model settings give and match its sha256, and every value must be
+    finite. The parameters own a fresh flat vector copied from the payload.
     """
     first, _, rest = Path(path).read_bytes().partition(b"\n")
     magic = first.decode("ascii", errors="replace")
@@ -258,11 +258,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint {version or 'header'}")
 
     text, _, payload = rest.partition(b"\n\n")
-    examples = _header(Checkpoint(TrainConfig(), epoch=0, gamma=0.0, sigma=0.0, params=None), b"")
+    examples = _header(Checkpoint(TrainConfig(), epoch=0, params=None), b"")
     try:
         header = keyvalue.read(text.decode("ascii", errors="replace"), examples, str(path),
                                first_line=2, complete=True)
         config = from_settings(header)
+        expected = _header(Checkpoint(config, header["epoch"], params=None), b"")
+        for key in ("gamma", "sigma_at_epoch"):
+            if header[key] != expected[key]:
+                raise ValueError(f"{key}={header[key]!r} is not the schedule's "
+                                 f"{expected[key]!r} at epoch {header['epoch']}")
     except ValueError as err:
         raise CheckpointError(str(err)) from None
     params = ModelParams.zeros(config.model)
@@ -276,14 +281,7 @@ def load_checkpoint(path) -> Checkpoint:
     for name, arr in params.named().items():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-    return Checkpoint(config=config, epoch=header["epoch"], gamma=header["gamma"],
-                      sigma=header["sigma_at_epoch"], params=params)
-
-
-def _checkpoint_at(config: TrainConfig, params: ModelParams, epoch: int) -> Checkpoint:
-    gamma, sigma = schedule_at(config.schedule, epoch)
-    return Checkpoint(config=config, epoch=epoch, gamma=gamma, sigma=sigma,
-                      params=params)
+    return Checkpoint(config=config, epoch=header["epoch"], params=params)
 
 
 def held_out(count: int) -> slice:
@@ -328,31 +326,26 @@ def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,
     params = ModelParams.initialize(config.model, stream(config.seed, "init"),
                                     mean_frame=mean_frame(train_pairs))
     opt = Adam(config)
-    save_checkpoint(_checkpoint_at(config, params, 0), out_dir / "checkpoint_epoch_0000.txt")
+    save_checkpoint(Checkpoint(config, 0, params), out_dir / "checkpoint_epoch_0000.txt")
 
     with open(out_dir / "log.tsv", "w") as log:
         for epoch in range(epochs):
-            gamma, sigma = schedule_at(config.schedule, epoch)
-            try:
-                train_loss = train_epoch(params, opt, train_pairs, gamma, sigma,
-                                         config.batch_size, stream(config.seed, "epoch", epoch))
-            except TrainingDiverged as err:
-                err.epoch = epoch
-                raise
+            train_loss = train_epoch(params, opt, train_pairs, config, epoch)
+            sp = schedule_at(config.schedule, epoch)
             passed = evaluation.hard_pass(params, val_pairs)
             val_loss = evaluation.hard_mode_mse(passed)
-            val_sharp = evaluation.sharpness(passed, gamma)
+            val_sharp = evaluation.sharpness(passed, sp.gamma)
             del passed  # not kept alive through the next epoch's training
-            line = f"{epoch}\t{gamma!r}\t{sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
+            line = f"{epoch}\t{sp.gamma!r}\t{sp.sigma!r}\t{train_loss!r}\t{val_loss!r}\t{val_sharp!r}"
             log.write(line + "\n")
             log.flush()
             if not quiet:
                 print(line)
             done = epoch + 1
             if config.checkpoint_every > 0 and done % config.checkpoint_every == 0:
-                save_checkpoint(_checkpoint_at(config, params, done),
+                save_checkpoint(Checkpoint(config, done, params),
                                 out_dir / f"checkpoint_epoch_{done:04d}.txt")
 
-    final = _checkpoint_at(config, params, epochs)
+    final = Checkpoint(config, epochs, params)
     save_checkpoint(final, out_dir / "checkpoint_final.txt")
     return final

@@ -159,7 +159,7 @@ def test_criterion_1_gradient_suite():
                 def f(leaf, vary=name):
                     values = {k: (leaf if k == vary else v) for k, v in arrays.items()}
                     return forward_pair(x_prev, x_curr, ModelParams(config, values), sp,
-                                        mode="soft", rng=np.random.default_rng(0)).loss
+                                        rng=np.random.default_rng(0)).loss
                 err = grad_check(f, arrays[name], step=GRAD_STEP)
                 if err > worst:
                     worst, where = err, f"model K={num_heads} sigma={sigma} {name}"

@@ -31,8 +31,7 @@ def test_write_that_fails_midway_leaves_no_temporary(tmp_path):
 
 def save_ckpt(path, seed):
     params = ModelParams.initialize(SMALL, stream(seed, "init"))
-    save_checkpoint(Checkpoint(config=TrainConfig(model=SMALL), epoch=0, gamma=1.0,
-                               sigma=0.0, params=params), path)
+    save_checkpoint(Checkpoint(config=TrainConfig(model=SMALL), epoch=0, params=params), path)
 
 
 def gen_data(out, seed):

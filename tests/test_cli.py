@@ -238,8 +238,7 @@ def test_eval_report_on_untrained_gate(tmp_path, capsys):
     capsys.readouterr()
     config = cli.RunConfig(image_side=8, latent_dim=32, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
-    ckpt = Checkpoint(config=config, epoch=0, gamma=1.0, sigma=0.0,
-                      params=ModelParams.zeros(config.model))
+    ckpt = Checkpoint(config=config, epoch=0, params=ModelParams.zeros(config.model))
     path = tmp_path / "zero.txt"
     save_checkpoint(ckpt, path)
     report_path = tmp_path / "report.txt"
@@ -284,8 +283,8 @@ def test_traverse_rejects_constant_component(tmp_path, capsys):
     config = cli.RunConfig(image_side=8, latent_dim=6, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
     path = tmp_path / "zero.txt"
-    save_checkpoint(Checkpoint(config=config, epoch=0, gamma=1.0, sigma=0.0,
-                               params=ModelParams.zeros(config.model)), path)
+    save_checkpoint(Checkpoint(config=config, epoch=0, params=ModelParams.zeros(config.model)),
+                    path)
     assert cli.run(["traverse", "--checkpoint", str(path), "--data", str(data),
                     "--pair-index", "0", "--component", "0"]) == 1
     assert "constant" in capsys.readouterr().err
@@ -325,7 +324,7 @@ def test_eval_runs_one_hard_pass(tmp_path, capsys, monkeypatch):
     config = cli.RunConfig(image_side=8, latent_dim=6, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
     path = tmp_path / "init.txt"
-    save_checkpoint(Checkpoint(config=config, epoch=0, gamma=1.0, sigma=0.0,
+    save_checkpoint(Checkpoint(config=config, epoch=0,
                                params=ModelParams.initialize(config.model, stream(0, "init"))),
                     path)
     calls = []

@@ -82,7 +82,7 @@ def test_block_evaluation_matches_the_per_pair_loop():
     sp = SharpenParams(gamma=3.0)
     losses, maxima, picks = [], [], {f: [] for f in FACTORS}
     for (x_prev, x_curr), label in zip(pairs.frames, pairs.labels):
-        result = forward_pair(x_prev, x_curr, params, sp, mode="hard")
+        result = forward_pair(x_prev, x_curr, params, None)
         losses.append(result.loss.item())
         maxima += [float(sharpen(w, sp).data.max()) for w in result.w_per_head]
         picks[label].append([int(np.argmax(w.data)) for w in result.w_per_head])

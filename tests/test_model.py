@@ -122,7 +122,7 @@ def test_hard_mode_swaps_at_most_k_components():
                              enc_hidden=(16, 8), dec_hidden=(8, 16), gate_hidden=8)
         params = ModelParams.initialize(config, rng)
         x_prev, x_curr = frames(rng, config), frames(rng, config)
-        res = forward_pair(x_prev, x_curr, params, SharpenParams(gamma=2.0), mode="hard")
+        res = forward_pair(x_prev, x_curr, params, None)
         h_prev = encode(x_prev, params).data
         mixed = res.mixed.data
         assert np.sum(~np.isclose(mixed, h_prev)) <= num_heads
@@ -132,7 +132,7 @@ def test_equal_frames_mix_to_current_encoding():
     rng = np.random.default_rng(6)
     params = ModelParams.initialize(SMALL, rng)
     x = frames(rng, SMALL)
-    res = forward_pair(x, x.copy(), params, SharpenParams(gamma=1.0), mode="hard")
+    res = forward_pair(x, x.copy(), params, None)
     assert np.allclose(res.mixed.data, res.latent_curr.data, atol=1e-15)
 
 
@@ -140,11 +140,8 @@ def test_hard_mode_ignores_rng():
     rng = np.random.default_rng(7)
     params = ModelParams.initialize(SMALL, rng)
     x_prev, x_curr = frames(rng, SMALL), frames(rng, SMALL)
-    sp = SharpenParams(gamma=4.0, sigma=0.5)
-    a = forward_pair(x_prev, x_curr, params, sp, mode="hard",
-                     rng=np.random.default_rng(1))
-    b = forward_pair(x_prev, x_curr, params, sp, mode="hard",
-                     rng=np.random.default_rng(2))
+    a = forward_pair(x_prev, x_curr, params, None, rng=np.random.default_rng(1))
+    b = forward_pair(x_prev, x_curr, params, None, rng=np.random.default_rng(2))
     assert a.loss.item() == b.loss.item()
 
 
@@ -152,7 +149,7 @@ def test_soft_mode_requires_rng_when_noisy():
     params = ModelParams.initialize(SMALL, np.random.default_rng(8))
     x = np.zeros(SMALL.pixels)
     with pytest.raises(ValueError, match="rng"):
-        forward_pair(x, x, params, SharpenParams(gamma=1.0, sigma=0.1), mode="soft")
+        forward_pair(x, x, params, SharpenParams(gamma=1.0, sigma=0.1))
 
 
 def test_forward_pair_loss_nonnegative_and_result_fields():
@@ -161,14 +158,14 @@ def test_forward_pair_loss_nonnegative_and_result_fields():
     params = ModelParams.initialize(SMALL, rng)
     x_prev, x_curr = frames(rng, SMALL), frames(rng, SMALL)
     sp = SharpenParams(gamma=1.0)
-    res = forward_pair(x_prev, x_curr, params, sp, mode="soft", rng=np.random.default_rng(0))
+    res = forward_pair(x_prev, x_curr, params, sp, rng=np.random.default_rng(0))
     assert isinstance(res, ForwardResult)
     assert res.loss.item() >= 0.0
     assert len(res.w_per_head) == SMALL.num_heads
     assert res.w_per_head[0].shape == (1, SMALL.latent_dim)
     assert res.mask.shape == (1, SMALL.latent_dim)
     assert res.x_hat.shape == (1, SMALL.pixels)
-    block = forward_pair(x_prev[None], x_curr[None], params, sp, mode="soft",
+    block = forward_pair(x_prev[None], x_curr[None], params, sp,
                          rng=np.random.default_rng(0))
     for field in ("x_hat", "mask", "latent_curr", "mixed"):
         assert np.array_equal(getattr(res, field).data, getattr(block, field).data), field
@@ -177,16 +174,13 @@ def test_forward_pair_loss_nonnegative_and_result_fields():
 
 def test_mismatched_or_non_2d_blocks_rejected():
     params = ModelParams.zeros(SMALL)
-    sp = SharpenParams(gamma=1.0)
     with pytest.raises(ValueError, match="matching"):
-        forward_pair(np.zeros((2, SMALL.pixels)), np.zeros((3, SMALL.pixels)), params, sp,
-                     mode="hard")
+        forward_pair(np.zeros((2, SMALL.pixels)), np.zeros((3, SMALL.pixels)), params, None)
     with pytest.raises(ValueError, match="matching"):
-        forward_pair(np.zeros(SMALL.pixels), np.zeros((2, SMALL.pixels)), params, sp,
-                     mode="hard")
+        forward_pair(np.zeros(SMALL.pixels), np.zeros((2, SMALL.pixels)), params, None)
     block = np.zeros((1, 2, SMALL.pixels))
     with pytest.raises(ValueError, match="matching"):
-        forward_pair(block, block, params, sp, mode="hard")
+        forward_pair(block, block, params, None)
 
 
 def test_noise_free_soft_mode_needs_no_rng():
@@ -194,17 +188,10 @@ def test_noise_free_soft_mode_needs_no_rng():
     params = ModelParams.initialize(SMALL, rng)
     xp, xc = frames(rng, SMALL, 3), frames(rng, SMALL, 3)
     sp = SharpenParams(gamma=3.0)
-    without = forward_pair(xp, xc, params, sp, mode="soft")
-    seeded = forward_pair(xp, xc, params, sp, mode="soft", rng=np.random.default_rng(0))
+    without = forward_pair(xp, xc, params, sp)
+    seeded = forward_pair(xp, xc, params, sp, rng=np.random.default_rng(0))
     assert without.loss.item() == seeded.loss.item()
     assert np.array_equal(without.mask.data, seeded.mask.data)
-
-
-def test_unknown_mode_rejected():
-    params = ModelParams.zeros(SMALL)
-    x = np.zeros(SMALL.pixels)
-    with pytest.raises(ValueError, match="mode"):
-        forward_pair(x, x, params, SharpenParams(gamma=1.0), mode="binary")
 
 
 # ---- batched path ----
@@ -217,9 +204,9 @@ def test_batch_loss_equals_mean_of_pair_losses():
     sp = SharpenParams(gamma=3.0)
     tape = Tape()
     bp, leaves = prepare_batch_params(params, tape)
-    batch_loss = forward_batch(xp, xc, bp, sp, mode="soft",
+    batch_loss = forward_batch(xp, xc, bp, sp,
                                rng=np.random.default_rng(0)).loss.item()
-    singles = [forward_pair(xp[i], xc[i], params, sp, mode="soft",
+    singles = [forward_pair(xp[i], xc[i], params, sp,
                             rng=np.random.default_rng(0)).loss.item()
                for i in range(5)]
     assert abs(batch_loss - np.mean(singles)) < 1e-12
@@ -234,7 +221,7 @@ def test_batch_gradients_match_averaged_pair_gradients():
 
     tape = Tape()
     bp, leaves = prepare_batch_params(params, tape)
-    res = forward_batch(xp, xc, bp, sp, mode="soft", rng=np.random.default_rng(0))
+    res = forward_batch(xp, xc, bp, sp, rng=np.random.default_rng(0))
     batch_grads = extract_grads(leaves, backward(res.loss))
 
     arrays = params.named()
@@ -242,7 +229,7 @@ def test_batch_gradients_match_averaged_pair_gradients():
     for i in range(4):
         pair_tape = Tape()
         tracked, pair_leaves = prepare_batch_params(params, pair_tape)
-        res = forward_pair(xp[i], xc[i], tracked, sp, mode="soft",
+        res = forward_pair(xp[i], xc[i], tracked, sp,
                            rng=np.random.default_rng(0))
         grads = backward(res.loss)
         for name, leaf in pair_leaves.items():
@@ -281,7 +268,7 @@ def test_full_model_gradients(num_heads, sigma):
         def f(leaf, vary=name):
             vals = {k: (leaf if k == vary else v) for k, v in arrays.items()}
             mixed = ModelParams(config, vals)
-            res = forward_pair(x_prev, x_curr, mixed, sp, mode="soft",
+            res = forward_pair(x_prev, x_curr, mixed, sp,
                                rng=np.random.default_rng(0))
             return res.loss
 

@@ -26,15 +26,15 @@ SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
 
 def test_schedule_is_linear_in_epoch():
     sched = Schedule(gamma0=1.0, gamma_slope=0.5, sigma=0.02)
-    assert schedule_at(sched, 0) == (1.0, 0.02)
-    assert schedule_at(sched, 10) == (6.0, 0.02)
-    assert schedule_at(sched, 4) == (3.0, 0.02)
+    assert schedule_at(sched, 0) == SharpenParams(1.0, 0.02)
+    assert schedule_at(sched, 10) == SharpenParams(6.0, 0.02)
+    assert schedule_at(sched, 4) == SharpenParams(3.0, 0.02)
 
 
 def test_schedule_sigma_does_not_decay():
     sched = Schedule(gamma0=2.0, gamma_slope=0.0, sigma=0.3)
     for epoch in (0, 1, 50):
-        assert schedule_at(sched, epoch) == (2.0, 0.3)
+        assert schedule_at(sched, epoch) == SharpenParams(2.0, 0.3)
 
 
 def test_schedule_validation():
@@ -139,11 +139,12 @@ def test_train_epoch_overfits_a_single_pair():
     pair = Pairs(np.array([[render(FactorVector(1, 2, 0.8), 8, 2),
                             render(FactorVector(4, 2, 0.8), 8, 2)]]), np.array(["x"]))
     params = ModelParams.initialize(SMALL, stream(0, "init"))
-    opt = Adam(TrainConfig(lr=1e-2))
-    first = train_epoch(params, opt, pair, 1.0, 0.0, 1, stream(0, "epoch", 0))
+    config = TrainConfig(schedule=Schedule(1.0, 0.0, 0.0), lr=1e-2, batch_size=1)
+    opt = Adam(config)
+    first = train_epoch(params, opt, pair, config, 0)
     last = first
-    for step in range(1, 200):
-        last = train_epoch(params, opt, pair, 1.0, 0.0, 1, stream(0, "epoch", step))
+    for epoch in range(1, 200):
+        last = train_epoch(params, opt, pair, config, epoch)
     assert last < 0.1 * first
 
 
@@ -153,27 +154,28 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
     # final batch included.
     pairs = sprite_pairs(7, 7)
     params = ModelParams.initialize(SMALL, stream(1, "init"))
-    reported = train_epoch(params, Adam(TrainConfig(lr=0.0)), pairs, 1.0, 0.0, 3, stream(2, "e"))
+    config = TrainConfig(schedule=Schedule(1.0, 0.0, 0.0), lr=0.0, batch_size=3, seed=2)
+    reported = train_epoch(params, Adam(config), pairs, config, 0)
 
-    order = stream(2, "e").permutation(7)
+    order = stream(2, "epoch", 0).permutation(7)
     sp = SharpenParams(gamma=1.0, sigma=0.0)
     total = 0.0
     for start in range(0, 7, 3):
         ids = order[start:start + 3]
         xp = np.stack([pairs.frames[i, 0] for i in ids])
         xc = np.stack([pairs.frames[i, 1] for i in ids])
-        res = forward_batch(xp, xc, params, sp, mode="soft",
-                            rng=np.random.default_rng(0))
+        res = forward_batch(xp, xc, params, sp, rng=np.random.default_rng(0))
         total += res.loss.item() * len(ids)
     assert abs(reported - total / 7) < 1e-12
 
 
 def test_train_epoch_is_deterministic_for_a_seed():
     pairs = sprite_pairs(3, 10)
+    config = TrainConfig(schedule=Schedule(2.0, 0.0, 0.05), batch_size=4, seed=5)
     runs = []
     for _ in range(2):
         params = ModelParams.initialize(SMALL, stream(5, "init"))
-        train_epoch(params, Adam(), pairs, 2.0, 0.05, 4, stream(5, "epoch", 0))
+        train_epoch(params, Adam(), pairs, config, 0)
         runs.append(params.named())
     assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
 
@@ -181,17 +183,16 @@ def test_train_epoch_is_deterministic_for_a_seed():
 def test_train_epoch_input_validation():
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     with pytest.raises(ValueError, match="non-empty"):
-        train_epoch(params, Adam(), sprite_pairs(0, 2)[:0], 1.0, 0.0, 4, stream(0, "e"))
-    with pytest.raises(ValueError, match="batch_size"):
-        train_epoch(params, Adam(), sprite_pairs(0, 2), 1.0, 0.0, 0, stream(0, "e"))
+        train_epoch(params, Adam(), sprite_pairs(0, 2)[:0], TrainConfig(), 0)
 
 
 def test_train_epoch_raises_on_nonfinite_loss():
     pairs = sprite_pairs(0, 4)
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     params.arrays["enc0.w"][0, 0] = np.nan
-    with pytest.raises(TrainingDiverged, match="batch 0"):
-        train_epoch(params, Adam(), pairs, 1.0, 0.0, 4, stream(0, "e"))
+    with pytest.raises(TrainingDiverged, match="epoch 3, batch 0") as info:
+        train_epoch(params, Adam(), pairs, TrainConfig(batch_size=4), 3)
+    assert (info.value.epoch, info.value.batch_index) == (3, 0)
 
 
 # ---- checkpoints ----
@@ -204,10 +205,11 @@ def roundtrip(tmp_path, ckpt):
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     config = TrainConfig(model=SMALL, schedule=Schedule(1.0, 0.25, 0.05), seed=11)
     params = ModelParams.initialize(SMALL, stream(11, "init"))
-    ckpt = Checkpoint(config=config, epoch=17, gamma=5.25, sigma=0.05, params=params)
-    back = roundtrip(tmp_path, ckpt)
+    back = roundtrip(tmp_path, Checkpoint(config=config, epoch=17, params=params))
     assert back.config == config
-    assert (back.epoch, back.gamma, back.sigma) == (17, 5.25, 0.05)
+    assert (back.epoch, back.gamma) == (17, 5.25)
+    header = (tmp_path / "ckpt.txt").read_bytes().split(b"\n\n", 1)[0].decode().splitlines()
+    assert {"epoch=17", "gamma=5.25", "sigma_at_epoch=0.05"} <= set(header)
     named, named_back = params.named(), back.params.named()
     assert all(np.array_equal(named[k], named_back[k]) for k in named)
 
@@ -216,8 +218,7 @@ def test_checkpoint_roundtrip_is_bit_exact_at_32x32_with_two_heads(tmp_path):
     model = ModelConfig(image_side=32, num_heads=2)
     config = TrainConfig(model=model, batch_size=256, seed=5)
     params = ModelParams.initialize(model, stream(5, "init"))
-    back = roundtrip(tmp_path, Checkpoint(config=config, epoch=3, gamma=10.75, sigma=0.05,
-                                          params=params))
+    back = roundtrip(tmp_path, Checkpoint(config=config, epoch=3, params=params))
     assert back.config == config
     assert back.params.flat.tobytes() == params.flat.tobytes()
     assert back.params.flat.flags.writeable and back.params.flat.flags.owndata
@@ -226,8 +227,7 @@ def test_checkpoint_roundtrip_is_bit_exact_at_32x32_with_two_heads(tmp_path):
 def test_checkpoint_payload_is_the_flat_vector(tmp_path):
     params = ModelParams.initialize(ModelConfig(), stream(0, "init"))
     config = TrainConfig()
-    save_checkpoint(Checkpoint(config=config, epoch=0, gamma=10.0, sigma=0.05, params=params),
-                    tmp_path / "ckpt.txt")
+    save_checkpoint(Checkpoint(config=config, epoch=0, params=params), tmp_path / "ckpt.txt")
     blob = (tmp_path / "ckpt.txt").read_bytes()
     header, payload = blob.split(b"\n\n", 1)
     assert payload == params.flat.tobytes()
@@ -238,7 +238,7 @@ def test_checkpoint_payload_is_the_flat_vector(tmp_path):
 
 
 def test_parameters_are_views_of_one_flat_vector_in_named_order(tmp_path):
-    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0, gamma=1.0, sigma=0.0,
+    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0,
                       params=ModelParams.initialize(SMALL, stream(4, "init")))
     made = {"initialize": ckpt.params, "zeros": ModelParams.zeros(SMALL),
             "load_checkpoint": roundtrip(tmp_path, ckpt).params}
@@ -260,7 +260,7 @@ def test_parameters_are_views_of_one_flat_vector_in_named_order(tmp_path):
 
 def test_checkpoint_errors_name_the_problem(tmp_path):
     config = TrainConfig(model=SMALL)
-    ckpt = Checkpoint(config=config, epoch=0, gamma=1.0, sigma=0.0,
+    ckpt = Checkpoint(config=config, epoch=0,
                       params=ModelParams.initialize(SMALL, stream(0, "init")))
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, path)
@@ -279,7 +279,13 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
     refused(good.replace(lr, b"lr=fast\n"), "bad value for 'lr'")
     refused(good.replace(b"epoch=0\n", b"epoch=0\nseed=5\n"), "ckpt.txt:19: duplicate key 'seed'")
     refused(good.replace(b"epoch=0\n", b"epoch=0\nspeed=5\n"), "unknown key 'speed'")
-    refused(good.replace(b"gamma=1.0\n", b"gamma=nan\n"), "'gamma' must be finite")
+    refused(good.replace(b"gamma=10.0\n", b"gamma=nan\n"), "'gamma' must be finite")
+    # The epoch state is the schedule's at the header's epoch.
+    refused(good.replace(b"epoch=0\n", b"epoch=-1\n"), "epoch must be >= 0, got -1")
+    refused(good.replace(b"gamma=10.0\n", b"gamma=0.5\n"),
+            "gamma=0.5 is not the schedule's 10.0 at epoch 0")
+    refused(good.replace(b"sigma_at_epoch=0.05\n", b"sigma_at_epoch=7.0\n"),
+            "sigma_at_epoch=7.0 is not the schedule's 0.05 at epoch 0")
     refused(good.replace(b"batch_size=32\n", b"batch_size=0\n"), "batch_size must be >= 1")
     sha = header[header.rindex(b"\n") + 1:] + b"\n"
     refused(good.replace(sha, b""), "missing key 'payload_sha256'")
@@ -297,8 +303,7 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
 
 def test_checkpoint_refuses_version_1_and_non_finite_values(tmp_path):
     params = ModelParams.initialize(SMALL, stream(0, "init"))
-    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0, gamma=1.0, sigma=0.0,
-                      params=params)
+    ckpt = Checkpoint(config=TrainConfig(model=SMALL), epoch=0, params=params)
     path = tmp_path / "ckpt.txt"
     save_checkpoint(ckpt, path)
 
@@ -366,6 +371,20 @@ def test_fit_runs_and_checkpoints(tmp_path):
     epoch, gamma, sigma, *losses = log_lines[1].split("\t")
     assert (epoch, gamma, sigma) == ("1", "1.5", "0.05")
     assert all(np.isfinite(float(v)) for v in losses)
+
+
+def test_fit_is_initialize_then_train_epoch_by_index(tmp_path):
+    # A run is re-derived from its settings and epoch index alone, which is
+    # what resuming from a checkpoint relies on.
+    config = TrainConfig(model=SMALL, batch_size=4, seed=6, checkpoint_every=0)
+    pairs = sprite_pairs(6, 20)
+    final = fit(config, pairs, epochs=3, out_dir=tmp_path, quiet=True)
+    train = split_validation(pairs)[0]
+    params = ModelParams.initialize(SMALL, stream(6, "init"), mean_frame=mean_frame(train))
+    opt = Adam(config)
+    for epoch in range(3):
+        train_epoch(params, opt, train, config, epoch)
+    assert params.flat.tobytes() == final.params.flat.tobytes()
 
 
 def test_fit_is_deterministic(tmp_path):
