@@ -73,6 +73,7 @@ def _cmd_eval(args) -> int:
                                     evaluation.copy_baseline_mse(val),
                                     evaluation.consistency(passed))
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval_report.txt"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic.write_bytes(out_path, text.encode())
     sys.stdout.write(text)
     return 0
@@ -90,15 +91,15 @@ def _cmd_traverse(args) -> int:
     if not lo < hi:
         raise ValueError(f"component {args.component} is constant over the dataset")
     frame = sprites.load_dataset(args.data, [args.pair_index]).x_curr[0]
-    grid = evaluation.traverse(ckpt.params, frame, args.component,
-                               np.linspace(lo, hi, args.steps))
+    frames = evaluation.traverse(ckpt.params, frame, args.component,
+                                 np.linspace(lo, hi, args.steps))
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"traverse_c{args.component}"
-    evaluation.write_pgm(evaluation.montage(grid), out_dir / f"{stem}.pgm")
-    for i, decoded in enumerate(grid.frames):
+    evaluation.write_pgm(frames.reshape(-1, frames.shape[-1]), out_dir / f"{stem}.pgm")
+    for i, decoded in enumerate(frames):
         evaluation.write_pgm(decoded, out_dir / f"{stem}_step{i}.pgm")
-    print(f"wrote {stem}.pgm and {len(grid.frames)} step frames to {out_dir}")
+    print(f"wrote {stem}.pgm and {len(frames)} step frames to {out_dir}")
     return 0
 
 

@@ -121,37 +121,27 @@ def consistency(passed: Passed) -> ConsistencyReport:
                              omitted=omitted)
 
 
-@dataclass
-class TraversalGrid:
-    """One decoded frame per traversal value, in ascending value order."""
-
-    frames: list[np.ndarray]  # each (n, n)
-    component: int
-    values: list[float]
-
-
 def traverse(params: ModelParams, frame: np.ndarray, component: int,
-             values) -> TraversalGrid:
-    """Decode the frame's latent with one component swept over given values.
+             values) -> np.ndarray:
+    """Decode the frame's latent with one component swept over given values:
+    a (len(values), n, n) array, one frame per value in the given order.
 
-    Values must be strictly increasing (a single value is fine). Editing the
-    component to its own current value reproduces the plain reconstruction
-    exactly.
+    The frame is encoded once as a one-row block; its latent row is copied
+    once per value, the component column set to the values, and all rows
+    decoded as one block. Values must be strictly increasing (a single
+    value is fine). A single value equal to the frame's own component
+    reproduces the one-row reconstruction bit for bit.
     """
-    values = [float(v) for v in values]
-    if not values:
+    values = np.array([float(v) for v in values])
+    if not values.size:
         raise ValueError("traverse needs at least one value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"traversal values must be strictly increasing, got {values}")
+    if np.any(np.diff(values) <= 0):
+        raise ValueError(f"traversal values must be strictly increasing, got {values.tolist()}")
     _check_component(params, component)
+    latent = np.repeat(encode(np.reshape(frame, (1, -1)), params).data, values.size, axis=0)
+    latent[:, component] = values
     side = params.config.image_side
-    latent = encode(np.asarray(frame).reshape(-1), params).data
-    frames = []
-    for v in values:
-        edited = latent.copy()
-        edited[component] = v
-        frames.append(decode(edited, params).data.reshape(side, side))
-    return TraversalGrid(frames=frames, component=component, values=values)
+    return decode(latent, params).data.reshape(-1, side, side)
 
 
 def observed_range(params: ModelParams, pairs: Pairs, component: int) -> tuple[float, float]:
@@ -165,11 +155,6 @@ def observed_range(params: ModelParams, pairs: Pairs, component: int) -> tuple[f
 def centroid(frame: np.ndarray) -> tuple[float, float]:
     """Intensity-weighted mean (column, row) of a square frame."""
     arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim == 1:
-        side = int(round(np.sqrt(arr.size)))
-        if side * side != arr.size:
-            raise ValueError(f"flat frame of {arr.size} pixels is not square")
-        arr = arr.reshape(side, side)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"centroid expects a square frame, got {arr.shape}")
     total = float(arr.sum())
@@ -223,11 +208,6 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"PGM payload has {len(payload)} bytes, expected {width * height}")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     return pixels.reshape(height, width)
-
-
-def montage(grid: TraversalGrid) -> np.ndarray:
-    """Stack the traversal frames vertically: one row of the montage per value."""
-    return np.concatenate(grid.frames, axis=0)
 
 
 def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: float,

@@ -242,7 +242,8 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; errors name the offending key or parameter.
+    """Inverse of save_checkpoint; errors name the path once and the offending
+    key or parameter (a header line as `path:line`).
 
     The epoch must be >= 0, and `gamma` and `sigma_at_epoch` must be the
     schedule's values at it. The payload must have the size the header's
@@ -252,16 +253,19 @@ def load_checkpoint(path) -> Checkpoint:
     first, _, rest = Path(path).read_bytes().partition(b"\n")
     magic = first.decode("ascii", errors="replace")
     if not magic.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("not a checkpoint file")
+        raise CheckpointError(f"{path}: not a checkpoint file")
     version = magic.removeprefix(CHECKPOINT_MAGIC).strip()
     if version != f"version={CHECKPOINT_VERSION}":
-        raise CheckpointError(f"unsupported checkpoint {version or 'header'}")
+        raise CheckpointError(f"{path}: unsupported checkpoint {version or 'header'}")
 
     text, _, payload = rest.partition(b"\n\n")
     examples = _header(Checkpoint(TrainConfig(), epoch=0, params=None), b"")
     try:
         header = keyvalue.read(text.decode("ascii", errors="replace"), examples, str(path),
                                first_line=2, complete=True)
+    except ValueError as err:  # already names path:line
+        raise CheckpointError(str(err)) from None
+    try:
         config = from_settings(header)
         expected = _header(Checkpoint(config, header["epoch"], params=None), b"")
         for key in ("gamma", "sigma_at_epoch"):
@@ -269,18 +273,18 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{key}={header[key]!r} is not the schedule's "
                                  f"{expected[key]!r} at epoch {header['epoch']}")
     except ValueError as err:
-        raise CheckpointError(str(err)) from None
+        raise CheckpointError(f"{path}: {err}") from None
     params = ModelParams.zeros(config.model)
     if len(payload) != params.flat.nbytes:
         state = "truncated" if len(payload) < params.flat.nbytes else "oversized"
-        raise CheckpointError(f"payload is {state}: {len(payload)} bytes, "
+        raise CheckpointError(f"{path}: payload is {state}: {len(payload)} bytes, "
                               f"expected {params.flat.nbytes}")
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError("payload does not match payload_sha256")
+        raise CheckpointError(f"{path}: payload does not match payload_sha256")
     params.flat[:] = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE)
     for name, arr in params.named().items():
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
+            raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
     return Checkpoint(config=config, epoch=header["epoch"], params=params)
 
 

@@ -268,12 +268,12 @@ def test_criterion_6_traversal(world):
     monotone_pairs = -1
     pgm_ok = False
     if lo < hi:
-        grid = evaluation.traverse(run.final.params, world.val.x_curr[0], unit,
-                                   np.linspace(lo, hi, 8))
-        centroids = [evaluation.centroid(f)[0] for f in grid.frames]
+        frames = evaluation.traverse(run.final.params, world.val.x_curr[0], unit,
+                                     np.linspace(lo, hi, 8))
+        centroids = [evaluation.centroid(f)[0] for f in frames]
         deltas = np.diff(centroids)
         monotone_pairs = int(max(np.sum(deltas > 0), np.sum(deltas < 0)))
-        montage = evaluation.montage(grid)
+        montage = frames.reshape(-1, frames.shape[-1])
         path = run.out / "traverse_modal_x.pgm"
         evaluation.write_pgm(montage, path)
         back = evaluation.read_pgm(path)

@@ -193,6 +193,30 @@ def test_module_entry_point(tmp_path):
     assert "3 pairs" in proc.stdout
 
 
+SEED0_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "seed0_outputs.sh"
+
+
+def test_seed0_outputs_refuses_a_source_without_framegate(tmp_path):
+    # Otherwise `python3 -m framegate` would run whatever copy is installed.
+    out = tmp_path / "out"
+    proc = subprocess.run(["sh", str(SEED0_OUTPUTS), str(tmp_path), str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "holds no src/framegate/__init__.py" in proc.stderr
+    assert not out.exists()
+
+
+def test_seed0_outputs_refuses_a_non_empty_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept").write_text("x")
+    proc = subprocess.run(["sh", str(SEED0_OUTPUTS), str(SEED0_OUTPUTS.parents[1]), str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "is not empty" in proc.stderr
+    assert [p.name for p in out.iterdir()] == ["kept"]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--seed", "-1"], "seed must be >= 0"),
     (["--seed", "0", "--sprite", "9"], "sprite side 9"),
@@ -262,6 +286,16 @@ def test_eval_default_report_lands_beside_checkpoint(tmp_path, capsys):
     assert (out / "eval_report.txt").exists()
 
 
+def test_eval_creates_the_report_directory(tmp_path, capsys):
+    data = gen(tmp_path)
+    out = train(tmp_path, data)
+    report = tmp_path / "nodir" / "rep.txt"
+    capsys.readouterr()
+    assert cli.run(["eval", "--checkpoint", str(out / "checkpoint_final.txt"),
+                    "--data", str(data), "--out", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
+
+
 def test_traverse_writes_montage_and_steps(tmp_path, capsys):
     data = gen(tmp_path)
     out = train(tmp_path, data)
@@ -313,7 +347,8 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     save_checkpoint(trained, ckpt)
     capsys.readouterr()
     assert cli.run(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
-    assert "'enc0.b' holds a non-finite value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'enc0.b' holds a non-finite value" in err and err.count(str(ckpt)) == 1
     assert not (ckpt.parent / "eval_report.txt").exists()
 
 

@@ -103,20 +103,41 @@ def test_block_evaluation_matches_the_per_pair_loop():
 def test_traverse_at_current_value_reproduces_reconstruction():
     params = ModelParams.initialize(SMALL, stream(3, "init"))
     frame = sprite_pairs(3, 1).x_curr[0]
-    latent = encode(frame, params).data
-    recon = decode(latent, params).data.reshape(8, 8)
-    grid = evaluation.traverse(params, frame, 2, [float(latent[2])])
-    assert np.array_equal(grid.frames[0], recon)
+    latent = encode(frame[None], params).data
+    recon = decode(latent, params).data.reshape(1, 8, 8)
+    frames = evaluation.traverse(params, frame, 2, [float(latent[0, 2])])
+    assert np.array_equal(frames, recon)
 
 
 def test_traverse_orders_frames_by_value():
     params = ModelParams.initialize(SMALL, stream(4, "init"))
     frame = sprite_pairs(4, 1).x_curr[0]
-    grid = evaluation.traverse(params, frame, 0, [-2.0, 0.0, 2.0])
-    assert grid.values == [-2.0, 0.0, 2.0]
-    assert len(grid.frames) == 3
-    assert all(f.shape == (8, 8) for f in grid.frames)
-    assert not np.array_equal(grid.frames[0], grid.frames[2])
+    values = [-2.0, -0.5, 0.0, 2.0]
+    frames = evaluation.traverse(params, frame, 0, values)
+    assert frames.shape == (len(values), 8, 8)
+    assert not np.array_equal(frames[0], frames[-1])
+    # Each row is the one-row decode of the latent with that value set.
+    for value, decoded in zip(values, frames):
+        edited = encode(frame[None], params).data
+        edited[0, 0] = value
+        one_row = decode(edited, params).data.reshape(8, 8)
+        assert np.abs(decoded - one_row).max() <= 1e-12
+
+
+def test_traverse_encodes_once_and_decodes_once(monkeypatch):
+    params = ModelParams.initialize(SMALL, stream(4, "init"))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(x, p):
+            calls.append((name, np.shape(x)))
+            return fn(x, p)
+        monkeypatch.setattr(evaluation, name, wrapper)
+
+    counted("encode", encode)
+    counted("decode", decode)
+    evaluation.traverse(params, sprite_pairs(4, 1).x_curr[0], 1, np.linspace(-1.0, 1.0, 5))
+    assert calls == [("encode", (1, 64)), ("decode", (5, 6))]
 
 
 def test_traverse_validation():
@@ -159,15 +180,10 @@ def test_centroid_of_single_pixel():
     assert abs(cx - 3.0) < 1e-12 and abs(cy - 2.0) < 1e-12
 
 
-def test_centroid_accepts_flat_square_frames():
-    frame = np.zeros(16)
-    frame[1 * 4 + 2] = 1.0
-    assert evaluation.centroid(frame) == (2.0, 1.0)
-
-
 def test_centroid_validation():
-    with pytest.raises(ValueError, match="square"):
-        evaluation.centroid(np.zeros(15))
+    for flat in (np.zeros(15), np.ones(16)):
+        with pytest.raises(ValueError, match="square"):
+            evaluation.centroid(flat)
     with pytest.raises(ValueError, match="square"):
         evaluation.centroid(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="intensity"):
@@ -213,14 +229,6 @@ def test_pgm_read_validation(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ValueError, match="maxval"):
         evaluation.read_pgm(path)
-
-
-def test_montage_stacks_frames_in_value_order():
-    frames = [np.full((2, 3), v) for v in (0.1, 0.5, 0.9)]
-    grid = evaluation.TraversalGrid(frames=frames, component=0, values=[0.0, 1.0, 2.0])
-    stacked = evaluation.montage(grid)
-    assert stacked.shape == (6, 3)
-    assert np.all(stacked[:2] == 0.1) and np.all(stacked[4:] == 0.9)
 
 
 # ---- losses and report ----

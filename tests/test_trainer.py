@@ -269,10 +269,12 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
 
     def refused(blob, match):
         path.write_bytes(blob)
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=match) as err:
             load_checkpoint(path)
+        assert str(err.value).count(str(path)) == 1, err.value
 
     refused(b"something else\n", "not a checkpoint")
+    refused(bytes(20), "not a checkpoint")
     refused(good.replace(b"version=3", b"version=2"), "unsupported checkpoint version=2")
     lr = f"lr={config.lr!r}\n".encode()
     refused(good.replace(lr, b""), "missing key 'lr'")

@@ -9,10 +9,16 @@
 # 4-epoch train with checkpoint_every = 2 on each (16x16 with the defaults,
 # 32x32 with batch 256 and 2 heads); eval and traverse (pair 5, component 3)
 # on both runs. The 34 sha256 lines are printed sorted by path relative to
-# OUT, so the lists of two checkouts diff line for line.
+# OUT, so the lists of two checkouts diff line for line. An SRC without
+# src/framegate/__init__.py is refused: python3 would run an installed
+# framegate in its place.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+if [ ! -f "$1/src/framegate/__init__.py" ]; then
+    echo "$0: SRC $1 holds no src/framegate/__init__.py" >&2
     exit 2
 fi
 if [ -d "$2" ] && [ -n "$(ls -A "$2")" ]; then
