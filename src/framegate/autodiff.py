@@ -1,10 +1,13 @@
 """Dense float64 tensors with a recorded tape and reverse-mode gradients.
 
 Values are contiguous row-major numpy arrays. `apply` runs one primitive and
-records it on a tape whenever one of its inputs is tracked there; `backward`
-walks the records in reverse and returns d(loss)/d(leaf) for every leaf
-registered on that tape. The primitive set is deliberately small: exactly
-what a dense two-frame autoencoder with sharpened gating needs.
+records it on a tape whenever one of its inputs is tracked there. Each
+primitive is defined once, in `_forward`, which returns its output and its
+vector-Jacobian product (vjp); a record holds that vjp, with its input and
+output node ids. `backward` walks the records in reverse, calling each vjp,
+and returns d(loss)/d(leaf) for every leaf registered on that tape. The
+primitive set is deliberately small: exactly what a dense two-frame
+autoencoder with sharpened gating needs.
 
 A tape is single-threaded. Distinct tapes share nothing and may live on
 distinct threads.
@@ -82,18 +85,14 @@ def constant(data) -> Tensor:
 
 
 class Record:
-    """One primitive application: its input arrays and their node ids (None
-    for a constant), its attributes, and its output array and node id."""
+    """One primitive application: its inputs' node ids (None for a constant),
+    its vector-Jacobian product and its output's node id."""
 
-    __slots__ = ("kind", "inputs", "input_ids", "attrs", "output", "output_id")
+    __slots__ = ("input_ids", "vjp", "output_id")
 
-    def __init__(self, kind: str, inputs: list[np.ndarray], input_ids: tuple[int | None, ...],
-                 attrs: dict, output: np.ndarray, output_id: int):
-        self.kind = kind
-        self.inputs = inputs
+    def __init__(self, input_ids: tuple[int | None, ...], vjp, output_id: int):
         self.input_ids = input_ids
-        self.attrs = attrs
-        self.output = output
+        self.vjp = vjp
         self.output_id = output_id
 
 
@@ -145,8 +144,19 @@ def _pair(kind: str, arrays: list[np.ndarray], allow_row_broadcast: bool) -> lis
     raise ShapeMismatch(f"{kind}: shapes {a.shape} and {b.shape} do not conform")
 
 
-def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
-    """Check the inputs of one primitive, then compute its output.
+def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # Inverse of the row broadcast allowed for add/sub.
+    return grad if grad.shape == shape else grad.sum(axis=0)
+
+
+def _forward(kind: str, arrays: list[np.ndarray], attrs: dict):
+    """Check the inputs of one primitive, then return its output and its vjp.
+
+    `vjp(grad, needs)` maps the output's gradient to one entry per input: that
+    input's gradient where `needs` is set, None elsewhere. A record exists
+    only when some input needs a gradient, so single-input kinds always
+    compute theirs. A vjp holds arrays and plain values only, never a Tensor
+    or a tape, and only what its gradient reads.
 
     Messages are formatted only on failure: apply runs this on every call.
     """
@@ -157,31 +167,56 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
                 f"matmul supports vectors and matrices, got {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[0]:
             raise ShapeMismatch(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-        return a @ b
+
+        def vjp(grad, needs):
+            grad_a = grad_b = None
+            if needs[0] and b.ndim == 1:
+                grad_a = np.outer(grad, b) if a.ndim == 2 else grad * b
+            elif needs[0]:
+                grad_a = grad @ b.T if a.ndim == 2 else b @ grad
+            if needs[1] and a.ndim == 1:
+                grad_b = np.outer(a, grad) if b.ndim == 2 else grad * a
+            elif needs[1]:
+                grad_b = a.T @ grad
+            return [grad_a, grad_b]
+        return a @ b, vjp
     if kind == "add":
         a, b = _pair(kind, arrays, allow_row_broadcast=True)
-        return a + b
+        shape_a, shape_b = a.shape, b.shape
+        return a + b, lambda grad, needs: [_reduce_to(grad, shape_a) if needs[0] else None,
+                                           _reduce_to(grad, shape_b) if needs[1] else None]
     if kind == "sub":
         a, b = _pair(kind, arrays, allow_row_broadcast=True)
-        return a - b
+        shape_a, shape_b = a.shape, b.shape
+        return a - b, lambda grad, needs: [_reduce_to(grad, shape_a) if needs[0] else None,
+                                           -_reduce_to(grad, shape_b) if needs[1] else None]
     if kind == "hadamard":
         a, b = _pair(kind, arrays, allow_row_broadcast=False)
-        return a * b
+        return a * b, lambda grad, needs: [grad * b if needs[0] else None,
+                                           grad * a if needs[1] else None]
     if kind == "scalar-pow":
         (x,) = _inputs(kind, arrays, 1)
         if "exponent" not in attrs:
             raise ValueError("scalar-pow needs an 'exponent' attribute")
-        return np.power(np.maximum(x, CLAMP_MIN), float(attrs["exponent"]))
+        exponent = float(attrs["exponent"])
+
+        def vjp(grad, needs):
+            local = exponent * np.power(np.maximum(x, CLAMP_MIN), exponent - 1.0)
+            # Below the clamp the output is constant in the input.
+            return [grad * local * (x >= CLAMP_MIN)]
+        return np.power(np.maximum(x, CLAMP_MIN), exponent), vjp
     if kind == "relu":
         (x,) = _inputs(kind, arrays, 1)
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), lambda grad, needs: [grad * (x > 0.0)]
     if kind == "tanh":
         (x,) = _inputs(kind, arrays, 1)
-        return np.tanh(x)
+        out = np.tanh(x)
+        return out, lambda grad, needs: [grad * (1.0 - out * out)]
     if kind == "sigmoid":
         (x,) = _inputs(kind, arrays, 1)
         # tanh form avoids exp overflow for large negative inputs
-        return 0.5 * (np.tanh(0.5 * x) + 1.0)
+        out = 0.5 * (np.tanh(0.5 * x) + 1.0)
+        return out, lambda grad, needs: [grad * out * (1.0 - out)]
     if kind == "softmax":
         (x,) = _inputs(kind, arrays, 1)
         axis = int(attrs.get("axis", -1))
@@ -189,7 +224,9 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
             raise ShapeMismatch(f"softmax: axis {axis} out of range for shape {x.shape}")
         shifted = x - np.max(x, axis=axis, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=axis, keepdims=True)
+        out = e / np.sum(e, axis=axis, keepdims=True)
+        return out, lambda grad, needs: [
+            (grad - np.sum(grad * out, axis=axis, keepdims=True)) * out]
     if kind == "concat":
         if len(arrays) < 2:
             raise ShapeMismatch("concat takes at least two inputs")
@@ -205,9 +242,15 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
                 if d != axis and other.shape[d] != first.shape[d]:
                     raise ShapeMismatch(f"concat: shapes {first.shape} and {other.shape} "
                                         f"disagree off axis {axis}")
-        return np.concatenate(arrays, axis=axis)
+        extents = [arr.shape[axis] for arr in arrays[:-1]]
+        return np.concatenate(arrays, axis=axis), lambda grad, needs: [
+            part.copy() if need else None
+            for part, need in zip(np.split(grad, np.cumsum(extents), axis=axis), needs)]
     if kind == "slice":
         (x,) = _inputs(kind, arrays, 1)
+        for key in ("axis", "range"):
+            if key not in attrs:
+                raise ValueError(f"slice is missing its {key!r} attribute")
         axis = int(attrs["axis"])
         start, stop = attrs["range"]
         if not -x.ndim <= axis < x.ndim:
@@ -215,105 +258,27 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict) -> np.ndarray:
         extent = x.shape[axis]
         if not 0 <= start < stop <= extent:
             raise ShapeMismatch(f"slice: range ({start}, {stop}) invalid for extent {extent}")
-        index = [slice(None)] * x.ndim
-        index[axis] = slice(int(start), int(stop))
-        return x[tuple(index)].copy()
+        # Axes after the sliced one are taken whole.
+        index = (slice(None),) * (axis % x.ndim) + (slice(int(start), int(stop)),)
+        shape = x.shape
+
+        def vjp(grad, needs):
+            full = np.zeros(shape)
+            full[index] = grad
+            return [full]
+        return x[index].copy(), vjp
     if kind == "sum":
         (x,) = _inputs(kind, arrays, 1)
-        return np.asarray(np.sum(x))
+        shape = x.shape
+        return np.asarray(np.sum(x)), lambda grad, needs: [np.full(shape, float(grad))]
     if kind == "mean-squared-error":
         a, b = _pair(kind, arrays, allow_row_broadcast=False)
         diff = a - b
-        return np.asarray(np.mean(diff * diff))
-    raise ValueError(f"unknown primitive kind: {kind!r}")
 
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse of the row broadcast allowed for add/sub.
-    if grad.shape == shape:
-        return grad
-    return grad.sum(axis=0)
-
-
-def _matmul_grad_a(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.ndim == 1:
-        return np.outer(grad, b) if a.ndim == 2 else grad * b
-    return grad @ b.T if a.ndim == 2 else b @ grad
-
-
-def _matmul_grad_b(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim == 1:
-        return np.outer(a, grad) if b.ndim == 2 else grad * a
-    return a.T @ grad
-
-
-def _backward(kind: str, grad: np.ndarray, inputs: list[np.ndarray], attrs: dict,
-              output: np.ndarray, needs: list[bool]) -> list[np.ndarray | None]:
-    """Gradient for each input whose `needs` flag is set, None for the others.
-
-    A record exists only when some input needs a gradient, so single-input
-    kinds always compute theirs.
-    """
-    if kind == "matmul":
-        a, b = inputs
-        return [_matmul_grad_a(grad, a, b) if needs[0] else None,
-                _matmul_grad_b(grad, a, b) if needs[1] else None]
-    if kind == "add":
-        a, b = inputs
-        return [_reduce_to(grad, a.shape) if needs[0] else None,
-                _reduce_to(grad, b.shape) if needs[1] else None]
-    if kind == "sub":
-        a, b = inputs
-        return [_reduce_to(grad, a.shape) if needs[0] else None,
-                -_reduce_to(grad, b.shape) if needs[1] else None]
-    if kind == "hadamard":
-        a, b = inputs
-        return [grad * b if needs[0] else None, grad * a if needs[1] else None]
-    if kind == "scalar-pow":
-        (a,) = inputs
-        exponent = float(attrs["exponent"])
-        clamped = np.maximum(a, CLAMP_MIN)
-        local = exponent * np.power(clamped, exponent - 1.0)
-        # Below the clamp the output is constant in the input.
-        return [grad * local * (a >= CLAMP_MIN)]
-    if kind == "relu":
-        (a,) = inputs
-        return [grad * (a > 0.0)]
-    if kind == "tanh":
-        return [grad * (1.0 - output * output)]
-    if kind == "sigmoid":
-        return [grad * output * (1.0 - output)]
-    if kind == "softmax":
-        axis = int(attrs.get("axis", -1))
-        inner = np.sum(grad * output, axis=axis, keepdims=True)
-        return [(grad - inner) * output]
-    if kind == "concat":
-        axis = int(attrs.get("axis", 0)) % inputs[0].ndim
-        grads = []
-        offset = 0
-        for arr, need in zip(inputs, needs):
-            extent = arr.shape[axis]
-            index = [slice(None)] * arr.ndim
-            index[axis] = slice(offset, offset + extent)
-            grads.append(grad[tuple(index)].copy() if need else None)
-            offset += extent
-        return grads
-    if kind == "slice":
-        (a,) = inputs
-        axis = int(attrs["axis"])
-        start, stop = attrs["range"]
-        full = np.zeros_like(a)
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(int(start), int(stop))
-        full[tuple(index)] = grad
-        return [full]
-    if kind == "sum":
-        (a,) = inputs
-        return [np.full(a.shape, float(grad))]
-    if kind == "mean-squared-error":
-        a, b = inputs
-        scaled = (a - b) * (2.0 / a.size * float(grad))
-        return [scaled if needs[0] else None, -scaled if needs[1] else None]
+        def vjp(grad, needs):
+            scaled = diff * (2.0 / diff.size * float(grad))
+            return [scaled if needs[0] else None, -scaled if needs[1] else None]
+        return np.asarray(np.mean(diff * diff)), vjp
     raise ValueError(f"unknown primitive kind: {kind!r}")
 
 
@@ -333,15 +298,12 @@ def apply(kind: str, inputs, attrs: dict | None = None) -> Tensor:
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError("inputs recorded on different tapes")
-    arrays = [t.data for t in tensors]
-    attrs = attrs or {}
-    out = _forward(kind, arrays, attrs)
+    out, vjp = _forward(kind, [t.data for t in tensors], attrs or {})
     if tape is None:
         return Tensor(out)
     out_id = tape.num_nodes
     tape.num_nodes += 1
-    tape.records.append(Record(kind, arrays, tuple(t.node for t in tensors), dict(attrs), out,
-                               out_id))
+    tape.records.append(Record(tuple(t.node for t in tensors), vjp, out_id))
     return Tensor(out, tape=tape, node=out_id)
 
 
@@ -363,8 +325,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if out_grad is None:
             continue
         needs = [nid is not None for nid in rec.input_ids]
-        in_grads = _backward(rec.kind, out_grad, rec.inputs, rec.attrs, rec.output, needs)
-        for nid, g in zip(rec.input_ids, in_grads):
+        for nid, g in zip(rec.input_ids, rec.vjp(out_grad, needs)):
             if g is None:
                 continue
             held = adjoints.get(nid)

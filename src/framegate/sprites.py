@@ -174,7 +174,7 @@ def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
     examples = {"version": 0, "n": 0, "s": 0, "L": 0, "count": 0, "seed": 0, "labels": ""}
     fields = keyvalue.read(Path(path).read_text(), examples, str(path), complete=True)
     if fields["version"] != BINARY_VERSION:
-        raise ValueError(f"unknown dataset version {fields['version']!r}")
+        raise ValueError(f"{path}: unknown dataset version {fields['version']!r}")
     info = DatasetInfo(fields["n"], fields["s"], fields["L"], fields["count"], fields["seed"])
     for key, ok, need in (("n", info.n >= 2, ">= 2"), ("s", 1 <= info.s < info.n, "in [1, n)"),
                           ("L", info.levels >= 2, ">= 2"), ("count", info.count >= 1, ">= 1")):
@@ -182,10 +182,10 @@ def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
             raise ValueError(f"{path}: {key}={fields[key]} must be {need}")
     labels = fields["labels"].split(",") if fields["labels"] else []
     if len(labels) != info.count:
-        raise ValueError(f"manifest lists {len(labels)} labels for count={info.count}")
+        raise ValueError(f"{path}: manifest lists {len(labels)} labels for count={info.count}")
     for label in labels:
         if label not in FACTORS:
-            raise ValueError(f"manifest contains unknown factor label {label!r}")
+            raise ValueError(f"{path}: manifest contains unknown factor label {label!r}")
     return info, labels
 
 
@@ -195,12 +195,13 @@ def load_dataset(path, rows=slice(None)) -> Pairs:
     read; intensities are the stored bytes over 255, within 1/510 of the originals."""
     path = Path(path)
     info, labels = read_manifest(path / MANIFEST_NAME)
-    size = (path / FRAMES_NAME).stat().st_size
+    frames = path / FRAMES_NAME
+    size = frames.stat().st_size
     expected = 1 + info.count * 2 * info.n * info.n
     if size != expected:
-        raise ValueError(f"binary has {size} bytes, expected {expected}")
-    blob = np.memmap(path / FRAMES_NAME, dtype=np.uint8, mode="r")
+        raise ValueError(f"{frames}: binary has {size} bytes, expected {expected}")
+    blob = np.memmap(frames, dtype=np.uint8, mode="r")
     if blob[0] != BINARY_VERSION:
-        raise ValueError(f"unknown binary version {int(blob[0])}")
+        raise ValueError(f"{frames}: unknown binary version {int(blob[0])}")
     raw = blob[1:].view(np.ndarray).reshape(info.count, 2, -1)[rows]
     return Pairs(np.divide(raw, 255.0), np.array(labels)[rows])

@@ -29,6 +29,17 @@ def test_write_that_fails_midway_leaves_no_temporary(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
+@pytest.mark.parametrize("write", [lambda path: evaluation.write_pgm(np.zeros((2, 3)), path),
+                                   lambda path: save_ckpt(path, 0)], ids=["pgm", "checkpoint"])
+def test_missing_directory_is_reported_by_the_given_path(tmp_path, write):
+    path = tmp_path / "nodir" / "out"
+    with pytest.raises(FileNotFoundError) as caught:
+        write(path)
+    assert caught.value.filename == str(path)
+    assert str(path) in str(caught.value) and ".tmp" not in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def save_ckpt(path, seed):
     params = ModelParams.initialize(SMALL, stream(seed, "init"))
     save_checkpoint(Checkpoint(config=TrainConfig(model=SMALL), epoch=0, params=params), path)

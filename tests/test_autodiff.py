@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framegate.autodiff import (CLAMP_MIN, PRIMITIVE_KINDS, ShapeMismatch, Tape, Tensor,
-                                _backward, _forward, apply, backward, constant, grad_check)
+                                _forward, apply, backward, constant, grad_check)
 from framegate.streams import stream
 
 TOL = 1e-5
@@ -118,6 +118,13 @@ def test_slice_range_validated():
         apply("slice", [np.zeros(4)], {"axis": 0, "range": (3, 3)})
 
 
+@pytest.mark.parametrize("attrs, missing", [({"range": (0, 2)}, "axis"),
+                                            ({"axis": 0}, "range"), ({}, "axis")])
+def test_slice_refuses_a_missing_attribute(attrs, missing):
+    with pytest.raises(ValueError, match=f"slice is missing its '{missing}' attribute"):
+        apply("slice", [np.zeros(4)], attrs)
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones(3))
@@ -149,18 +156,39 @@ def test_unreachable_leaf_gets_zero_gradient():
     assert np.array_equal(grads[unused.node], [0.0])
 
 
+def record_every_kind(tape):
+    """Apply each primitive once on `tape`; returns every output, the scalar loss last."""
+    rng = np.random.default_rng(3)
+    x = tape.leaf(rng.normal(size=(4, 3)))
+    w = tape.leaf(rng.normal(size=(3, 3)))
+    outs, kinds = [], []
+
+    def rec(kind, inputs, attrs=None):
+        kinds.append(kind)
+        outs.append(apply(kind, inputs, attrs))
+        return outs[-1]
+
+    h = rec("sub", [rec("add", [rec("matmul", [x, w]), rng.normal(size=3)]), x])
+    p = rec("scalar-pow", [rec("hadamard", [h, h])], {"exponent": 0.5})
+    g = rec("concat", [rec("relu", [h]), rec("tanh", [p]), rec("sigmoid", [x])], {"axis": 1})
+    s = rec("softmax", [rec("slice", [g], {"axis": 1, "range": (2, 7)})], {"axis": -1})
+    rec("add", [rec("sum", [s]), rec("mean-squared-error", [s, rng.normal(size=(4, 5))])])
+    assert set(kinds) == PRIMITIVE_KINDS and outs[-1].shape == ()
+    return outs
+
+
 def test_tape_is_freed_once_its_handles_are_gone():
-    # No reference cycle through the leaves: refcounting alone frees the tape
-    # and every array it recorded, with the cyclic collector off.
+    # No primitive's vjp holds a Tensor or the tape, so no reference cycle
+    # runs through the records: refcounting alone frees the tape and every
+    # array it recorded, with the cyclic collector off.
     gc.disable()
     try:
         tape = Tape()
-        x = tape.leaf(np.ones(3))
-        loss = apply("sum", [apply("relu", [x])])
-        grads = backward(loss)
-        assert np.array_equal(grads[x.node], np.ones(3))
+        outs = record_every_kind(tape)
+        grads = backward(outs[-1])
+        assert len(grads) == 2
         freed = weakref.ref(tape)
-        del tape, x, loss
+        del tape, outs
         assert freed() is None
     finally:
         gc.enable()
@@ -179,24 +207,18 @@ def test_node_ids_topologically_ordered():
     assert tape.num_nodes == len(tape.leaves) + len(tape.records)
 
 
-def replay_matches(tape):
-    """Recompute every record from its stored inputs; True when each output is bit-identical."""
-    for rec in tape.records:
-        fresh = _forward(rec.kind, rec.inputs, rec.attrs)
-        if fresh.shape != rec.output.shape or fresh.tobytes() != rec.output.tobytes():
-            return False
-    return True
-
-
-def test_replay_after_backward_is_bit_identical():
-    rng = np.random.default_rng(3)
+def test_backward_leaves_every_recorded_array_bit_identical():
+    # A vjp reads the arrays it holds and never writes them: the leaves and
+    # every output read the same bytes after backward, and a second sweep
+    # gives the same gradients.
     tape = Tape()
-    x = tape.leaf(rng.normal(size=(4, 3)))
-    w = tape.leaf(rng.normal(size=(3, 2)))
-    out = apply("tanh", [apply("matmul", [x, w])])
-    loss = apply("mean-squared-error", [out, rng.normal(size=(4, 2))])
-    backward(loss)
-    assert replay_matches(tape)
+    outs = record_every_kind(tape)
+    arrays = list(tape.leaves.values()) + [t.data for t in outs]
+    before = [arr.tobytes() for arr in arrays]
+    first = backward(outs[-1])
+    assert [arr.tobytes() for arr in arrays] == before
+    second = backward(outs[-1])
+    assert all(first[nid].tobytes() == second[nid].tobytes() for nid in tape.leaves)
 
 
 def test_no_recording_without_differentiable_inputs():
@@ -211,16 +233,19 @@ def test_no_recording_without_differentiable_inputs():
                                           ("matmul", ((4,), (4, 2))),
                                           ("hadamard", ((2, 3), (2, 3))),
                                           ("sub", ((2, 3), (3,))),
-                                          ("mean-squared-error", ((5,), (5,)))])
+                                          ("mean-squared-error", ((5,), (5,))),
+                                          ("add", ((2, 3), (3,))),
+                                          ("concat", ((2, 3), (4, 3)))])
 @pytest.mark.parametrize("slot", [0, 1])
 def test_backward_skips_inputs_that_need_no_gradient(kind, shapes, slot):
+    # The vjp that _forward returns computes only the flagged inputs' gradients.
     rng = np.random.default_rng(8)
     inputs = [rng.normal(size=shape) for shape in shapes]
-    output = _forward(kind, inputs, {})
+    output, vjp = _forward(kind, inputs, {})
     grad = rng.normal(size=output.shape)
-    full = _backward(kind, grad, inputs, {}, output, [True, True])
+    full = vjp(grad, [True, True])
     needs = [i != slot for i in range(2)]
-    partial = _backward(kind, grad, inputs, {}, output, needs)
+    partial = vjp(grad, needs)
     assert partial[slot] is None
     assert np.array_equal(partial[1 - slot], full[1 - slot])
 

@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 
 from framegate import cli  # noqa: E402
+from framegate.autodiff import PRIMITIVE_KINDS  # noqa: E402
 
 TINY_CONFIG = """
 latent_dim = 6
@@ -24,6 +25,13 @@ epochs = 2
 batch_size = 4
 checkpoint_every = 0
 """
+
+
+def test_every_primitive_but_sum_has_an_apply_span():
+    # A primitive added to or removed from the engine fails here, not in a
+    # traced benchmark run. sum has no span: the model never applies it.
+    assert len(set(spans.APPLY_KINDS)) == len(spans.APPLY_KINDS)
+    assert set(spans.APPLY_KINDS) == PRIMITIVE_KINDS - {"sum"}
 
 
 def test_cli_commands_record_every_benchmark_span(tmp_path, capsys):
