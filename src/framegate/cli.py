@@ -60,10 +60,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_and_count(args):
+    """The checkpoint and the dataset's pair count, refused if their frame sides differ."""
+    ckpt = load_checkpoint(args.checkpoint)
+    info = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0]
+    if info.n != ckpt.config.model.image_side:
+        raise ValueError(f"checkpoint {args.checkpoint} image_side={ckpt.config.model.image_side}"
+                         f" does not match dataset {args.data} n={info.n}")
+    return ckpt, info.count
+
+
 def _cmd_eval(args) -> int:
     """The eval report from one hard-mode pass over the validation pairs alone."""
-    ckpt = load_checkpoint(args.checkpoint)
-    count = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0].count
+    ckpt, count = _checkpoint_and_count(args)
     val = sprites.load_dataset(args.data, held_out(count))
     if not val:
         raise ValueError("dataset too small to hold out a validation split")
@@ -80,8 +89,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_traverse(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    count = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0].count
+    ckpt, count = _checkpoint_and_count(args)
     if not 0 <= args.pair_index < count:
         raise ValueError(f"pair index {args.pair_index} out of range for {count} pairs")
     if args.steps < 2:
@@ -155,8 +163,6 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except KeyboardInterrupt:
-        raise
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

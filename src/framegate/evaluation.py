@@ -10,6 +10,7 @@ can be eyeballed anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .model import ForwardResult, ModelParams, decode, encode, forward_pair
 from .sprites import FACTORS, Pairs
 
 _BLOCK = 256  # pairs per evaluated row block
+# P5, then width, height and maxval as unsigned decimals, then one whitespace byte.
+_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def _blocks(pairs: Pairs):
@@ -184,30 +187,20 @@ def write_pgm(frame: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM back to intensities in [0, 1]."""
+    """Read a binary PGM back to intensities in [0, 1]; errors name the path."""
     blob = Path(path).read_bytes()
-    fields: list[int] = []
-    pos = 2
     if blob[:2] != b"P5":
-        raise ValueError("not a binary PGM (missing P5)")
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        fields.append(int(blob[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    width, height, maxval = fields
+        raise ValueError(f"{path}: not a binary PGM (missing P5)")
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ValueError(f"{path}: bad PGM header: expected P5, width, height and maxval")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval}")
-    payload = blob[pos:]
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    payload = blob[header.end():]
     if len(payload) != width * height:
-        raise ValueError(f"PGM payload has {len(payload)} bytes, expected {width * height}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(height, width)
+        raise ValueError(f"{path}: PGM payload has {len(payload)} bytes, expected {width * height}")
+    return (np.frombuffer(payload, dtype=np.uint8) / 255.0).reshape(height, width)
 
 
 def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: float,

@@ -60,12 +60,16 @@ class Pairs:
 
 
 def brightness_levels(levels: int) -> np.ndarray:
-    """Evenly spaced brightness values from 0.2 to 1.0 inclusive."""
+    """Evenly spaced brightness values from 0.2 to 1.0 inclusive, each its own frame byte."""
     if levels < 2:
         raise ValueError(f"need at least 2 brightness levels, got {levels}")
     # linspace pins both endpoints exactly; a scaled arange can overshoot 1.0
     # by one ulp and fail the render range check.
-    return np.linspace(0.2, 1.0, levels)
+    values = np.linspace(0.2, 1.0, levels)
+    quantized = _quantize(values)  # non-decreasing, so equal bytes are neighbours
+    if (quantized[1:] == quantized[:-1]).any():
+        raise ValueError(f"{levels} brightness levels do not fit 8-bit frames: two share a byte")
+    return values
 
 
 def render(factors: FactorVector, n: int, s: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Training loop: sharpening schedule, Adam updates, checkpoints, epoch logs.
 
-The sharpening exponent grows linearly with the epoch index while the noise
-level stays constant; evaluation always runs with the noise off. The decoder
-starts from the mean training frame (its output bias is the logit of that
-frame), so the first updates do not drive the sigmoid output into
-saturation. One master seed drives parameter init and the per-epoch
-shuffle/noise streams, so a rerun with the same seed, config and dataset is
-byte-identical. An epoch's sharpening and stream follow from the settings
-and the epoch index alone: `train_epoch` and `Checkpoint` take no other
-epoch state.
+A run's settings are the fields of one `TrainConfig`, its `ModelConfig`
+included. The sharpening exponent grows linearly with the epoch index, from
+`gamma0` by `gamma_slope`, while the noise level `sigma` stays constant;
+evaluation always runs with the noise off. The decoder starts from the mean
+training frame (its output bias is the logit of that frame), so the first
+updates do not drive the sigmoid output into saturation. One master seed
+drives parameter init and the per-epoch shuffle/noise streams, so a rerun
+with the same seed, config and dataset is byte-identical. An epoch's
+sharpening and stream follow from the settings and the epoch index alone:
+`train_epoch` and `Checkpoint` take no other epoch state.
 """
 
 from __future__ import annotations
@@ -34,35 +35,11 @@ _PAYLOAD_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Linear sharpening ramp: gamma(epoch) = gamma0 + gamma_slope * epoch."""
-
+class TrainConfig:
+    model: ModelConfig = field(default_factory=ModelConfig)
     gamma0: float = 10.0
     gamma_slope: float = 0.25
     sigma: float = 0.05
-
-    def __post_init__(self):
-        # Written `not x >= bound` so that nan is refused too.
-        if not self.gamma0 >= 1.0:
-            raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
-        if not self.gamma_slope >= 0.0:
-            raise ValueError(f"gamma_slope must be >= 0, got {self.gamma_slope}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-def schedule_at(schedule: Schedule, epoch: int) -> SharpenParams:
-    """The sharpening in effect for a given epoch index."""
-    if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return SharpenParams(gamma=schedule.gamma0 + schedule.gamma_slope * epoch,
-                         sigma=schedule.sigma)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    schedule: Schedule = field(default_factory=Schedule)
     lr: float = 2e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -72,8 +49,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr >= 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # Written `not x >= bound` so that nan is refused too.
+        if not self.gamma0 >= 1.0:
+            raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
+        for name in ("gamma_slope", "sigma", "lr"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -86,29 +67,25 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-_SECTIONS = {"model": ModelConfig, "schedule": Schedule}
+def schedule_at(config: TrainConfig, epoch: int) -> SharpenParams:
+    """The sharpening in effect for a given epoch index: a linear ramp,
+    gamma(epoch) = gamma0 + gamma_slope * epoch, at a constant sigma."""
+    if epoch < 0:
+        raise ValueError(f"epoch must be >= 0, got {epoch}")
+    return SharpenParams(gamma=config.gamma0 + config.gamma_slope * epoch, sigma=config.sigma)
 
 
 def settings(config: TrainConfig) -> dict:
-    """Every run setting by its flat key: the fields of ModelConfig, Schedule
-    and TrainConfig in declaration order, the two sections inlined where
-    TrainConfig holds them."""
-    out = {}
-    for f in fields(TrainConfig):
-        value = getattr(config, f.name)
-        if f.name in _SECTIONS:
-            out.update({g.name: getattr(value, g.name) for g in fields(value)})
-        else:
-            out[f.name] = value
-    return out
+    """Every run setting by its flat key: the fields of ModelConfig, then the
+    other fields of TrainConfig, each in declaration order."""
+    return {**{f.name: getattr(config.model, f.name) for f in fields(ModelConfig)},
+            **{f.name: getattr(config, f.name) for f in fields(TrainConfig) if f.name != "model"}}
 
 
 def from_settings(values: dict) -> TrainConfig:
     """Inverse of `settings`. Every setting must be present; other keys are ignored."""
-    sections = {name: cls(**{f.name: values[f.name] for f in fields(cls)})
-                for name, cls in _SECTIONS.items()}
-    return TrainConfig(**sections, **{f.name: values[f.name] for f in fields(TrainConfig)
-                                      if f.name not in _SECTIONS})
+    return TrainConfig(ModelConfig(**{f.name: values[f.name] for f in fields(ModelConfig)}),
+                       **{f.name: values[f.name] for f in fields(TrainConfig) if f.name != "model"})
 
 
 class Adam:
@@ -173,7 +150,7 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
                 epoch: int) -> float:
     """Epoch `epoch` of a run: one pass over the pairs in a fresh shuffled order.
 
-    The sharpening is `schedule_at(config.schedule, epoch)`; the stream
+    The sharpening is `schedule_at(config, epoch)`; the stream
     (config.seed, "epoch", epoch) draws the shuffle and the sharpening noise.
     Each batch's gradients are gathered into one flat vector laid out like
     `params.flat`, which Adam then updates in place. Returns the mean
@@ -184,7 +161,7 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
         raise ValueError("train_epoch needs a non-empty dataset")
     if params.flat is None:
         raise ValueError("train_epoch needs parameters that own a flat vector")
-    sp = schedule_at(config.schedule, epoch)
+    sp = schedule_at(config, epoch)
     rng = stream(config.seed, "epoch", epoch)
     order = rng.permutation(len(pairs))
     grad = np.empty_like(params.flat)
@@ -217,13 +194,13 @@ class Checkpoint:
 
     @property
     def gamma(self) -> float:
-        return schedule_at(self.config.schedule, self.epoch).gamma
+        return schedule_at(self.config, self.epoch).gamma
 
 
 def _header(ckpt: Checkpoint, payload: bytes) -> dict:
     """The key=value header of a checkpoint: every setting, the epoch and the
     schedule's values at it, then the sha256 of the payload."""
-    sp = schedule_at(ckpt.config.schedule, ckpt.epoch)
+    sp = schedule_at(ckpt.config, ckpt.epoch)
     return {**settings(ckpt.config), "epoch": ckpt.epoch, "gamma": sp.gamma,
             "sigma_at_epoch": sp.sigma, "payload_sha256": hashlib.sha256(payload).hexdigest()}
 
@@ -335,7 +312,7 @@ def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,
     with open(out_dir / "log.tsv", "w") as log:
         for epoch in range(epochs):
             train_loss = train_epoch(params, opt, train_pairs, config, epoch)
-            sp = schedule_at(config.schedule, epoch)
+            sp = schedule_at(config, epoch)
             passed = evaluation.hard_pass(params, val_pairs)
             val_loss = evaluation.hard_mode_mse(passed)
             val_sharp = evaluation.sharpness(passed, sp.gamma)

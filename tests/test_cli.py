@@ -15,7 +15,7 @@ import framegate
 from framegate import cli, evaluation, keyvalue, sprites
 from framegate.model import ModelConfig, ModelParams, forward_pair
 from framegate.streams import stream
-from framegate.trainer import (Checkpoint, Schedule, TrainConfig, from_settings, load_checkpoint,
+from framegate.trainer import (Checkpoint, TrainConfig, from_settings, load_checkpoint,
                                save_checkpoint, settings, split_validation)
 
 TINY_CONFIG = """
@@ -88,14 +88,12 @@ def test_settings_schema_has_one_source():
     config = TrainConfig(model=ModelConfig(image_side=8, latent_dim=6, num_heads=2,
                                            enc_hidden=(24, 12), dec_hidden=(10,),
                                            gate_hidden=5),
-                         schedule=Schedule(gamma0=3.0, gamma_slope=0.5, sigma=0.0),
+                         gamma0=3.0, gamma_slope=0.5, sigma=0.0,
                          lr=0.01, batch_size=7, checkpoint_every=3, seed=9)
     flat = settings(config)
     assert from_settings(flat) == config
     assert list(flat) == [*(f.name for f in fields(ModelConfig)),
-                          *(f.name for f in fields(Schedule)),
-                          *(f.name for f in fields(TrainConfig)
-                            if f.name not in ("model", "schedule"))]
+                          *(f.name for f in fields(TrainConfig) if f.name != "model")]
 
     # RunConfig is built from the settings keys: `epochs` and `image_side`
     # lead, then every other key in order with its owning dataclass's default.
@@ -131,6 +129,15 @@ def test_bad_arguments_exit_2(capsys):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["gen-data", "--out", "x"]) == 2  # missing required flags
     capsys.readouterr()
+
+
+def test_keyboard_interrupt_propagates_out_of_run(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_gen_data", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(["gen-data", "--out", "x", "--seed", "0", "--count", "1"])
 
 
 def test_runtime_failures_exit_1(tmp_path, capsys):
@@ -222,8 +229,9 @@ def test_seed0_outputs_refuses_a_non_empty_out(tmp_path):
     (["--seed", "0", "--sprite", "9"], "sprite side 9"),
     (["--seed", "0", "--sprite", "0"], "sprite side 0"),
     (["--seed", "0", "--sprite", "-1"], "sprite side -1"),
-    (["--seed", "0", "--levels", "1"], "at least 2 brightness levels")],
-    ids=["seed", "sprite", "sprite-zero", "sprite-negative", "levels"])
+    (["--seed", "0", "--levels", "1"], "at least 2 brightness levels"),
+    (["--seed", "0", "--levels", "206"], "206 brightness levels do not fit 8-bit frames")],
+    ids=["seed", "sprite", "sprite-zero", "sprite-negative", "levels", "levels-too-many"])
 def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "ds"
     assert cli.run(["gen-data", "--out", str(out), "--count", "3", "--side", "8", *flags]) == 1
@@ -337,6 +345,22 @@ def test_traverse_argument_validation(tmp_path, capsys):
         assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data),
                         "--pair-index", "0", "--component", component]) == 1
         assert f"component {component} out of range for latent_dim 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["traverse", "--pair-index", "0", "--component", "0"]])
+def test_eval_and_traverse_refuse_a_dataset_of_another_frame_size(tmp_path, capsys, command):
+    ckpt = train(tmp_path, gen(tmp_path)) / "checkpoint_final.txt"
+    other = tmp_path / "d10"
+    assert cli.run(["gen-data", "--out", str(other), "--seed", "0", "--count", "20",
+                    "--side", "10", "--sprite", "2"]) == 0
+    written = sorted(ckpt.parent.iterdir())
+    capsys.readouterr()
+    assert cli.run([command[0], "--checkpoint", str(ckpt), "--data", str(other),
+                    *command[1:]]) == 1
+    assert (f"error: checkpoint {ckpt} image_side=8 does not match dataset {other} n=10"
+            in capsys.readouterr().err)
+    assert sorted(ckpt.parent.iterdir()) == written
 
 
 def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):

@@ -220,15 +220,24 @@ def test_pgm_write_validation(tmp_path):
 
 def test_pgm_read_validation(tmp_path):
     path = tmp_path / "f.pgm"
-    path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    with pytest.raises(ValueError, match="P5"):
-        evaluation.read_pgm(path)
-    path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
-    with pytest.raises(ValueError, match="payload"):
-        evaluation.read_pgm(path)
-    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-    with pytest.raises(ValueError, match="maxval"):
-        evaluation.read_pgm(path)
+    for blob, message in [
+            (b"P6\n2 2\n255\n" + bytes(12), "P5"),
+            (b"P5\n2 2\n255\n" + bytes(3), "payload has 3 bytes, expected 4"),
+            (b"P5\n2 2\n65535\n" + bytes(8), "maxval 65535"),
+            (b"P5\n8 x\n255\n" + bytes(8), "bad PGM header"),
+            (b"P5\n-1 -1\n255\n" + bytes(1), "bad PGM header"),
+            (b"P5\n2 2\n255", "bad PGM header"),
+            (b"P5\n2", "bad PGM header")]:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=message) as info:
+            evaluation.read_pgm(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_pgm_read_takes_any_whitespace_between_fields(tmp_path):
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P5 \t2\r\n1  255\n" + bytes([0, 255]))
+    assert evaluation.read_pgm(path).tolist() == [[0.0, 1.0]]
 
 
 # ---- losses and report ----

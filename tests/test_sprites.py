@@ -53,6 +53,12 @@ def test_brightness_levels_are_evenly_spaced():
         brightness_levels(1)
 
 
+def test_brightness_levels_each_quantize_to_their_own_byte():
+    assert len(set(_quantize(brightness_levels(205)).tolist())) == 205
+    with pytest.raises(ValueError, match="206 brightness levels do not fit 8-bit frames"):
+        brightness_levels(206)
+
+
 # ---- pair sampling ----
 
 def test_sample_pair_changes_exactly_the_named_factor():

@@ -1,4 +1,4 @@
-"""Schedule, optimizer, training loop, and checkpoint round-trips."""
+"""Sharpening schedule, optimizer, training loop, and checkpoint round-trips."""
 
 import hashlib
 import math
@@ -14,7 +14,7 @@ from framegate.gating import SharpenParams
 from framegate.model import ModelConfig, ModelParams, forward_batch
 from framegate.sprites import FactorVector, Pairs, generate_dataset, load_dataset, render
 from framegate.streams import stream
-from framegate.trainer import (Adam, Checkpoint, CheckpointError, Schedule, TrainConfig,
+from framegate.trainer import (Adam, Checkpoint, CheckpointError, TrainConfig,
                                TrainingDiverged, fit, load_checkpoint, mean_frame,
                                held_out, save_checkpoint, schedule_at, split_validation, train_epoch)
 
@@ -25,28 +25,30 @@ SMALL = ModelConfig(image_side=8, latent_dim=6, num_heads=1,
 # ---- schedule ----
 
 def test_schedule_is_linear_in_epoch():
-    sched = Schedule(gamma0=1.0, gamma_slope=0.5, sigma=0.02)
-    assert schedule_at(sched, 0) == SharpenParams(1.0, 0.02)
-    assert schedule_at(sched, 10) == SharpenParams(6.0, 0.02)
-    assert schedule_at(sched, 4) == SharpenParams(3.0, 0.02)
+    config = TrainConfig(gamma0=1.0, gamma_slope=0.5, sigma=0.02)
+    assert schedule_at(config, 0) == SharpenParams(1.0, 0.02)
+    assert schedule_at(config, 10) == SharpenParams(6.0, 0.02)
+    assert schedule_at(config, 4) == SharpenParams(3.0, 0.02)
 
 
 def test_schedule_sigma_does_not_decay():
-    sched = Schedule(gamma0=2.0, gamma_slope=0.0, sigma=0.3)
+    config = TrainConfig(gamma0=2.0, gamma_slope=0.0, sigma=0.3)
     for epoch in (0, 1, 50):
-        assert schedule_at(sched, epoch) == SharpenParams(2.0, 0.3)
+        assert schedule_at(config, epoch) == SharpenParams(2.0, 0.3)
 
 
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="gamma0 must be >= 1, got 0.5"):
+        TrainConfig(gamma0=0.5)
     with pytest.raises(ValueError, match="gamma0"):
-        Schedule(gamma0=0.5)
-    with pytest.raises(ValueError, match="gamma_slope"):
-        Schedule(gamma_slope=-0.1)
+        TrainConfig(gamma0=float("nan"))
+    with pytest.raises(ValueError, match="gamma_slope must be >= 0"):
+        TrainConfig(gamma_slope=-0.1)
     for sigma in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="sigma"):
-            Schedule(sigma=sigma)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            TrainConfig(sigma=sigma)
     with pytest.raises(ValueError, match="epoch"):
-        schedule_at(Schedule(), -1)
+        schedule_at(TrainConfig(), -1)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -139,7 +141,7 @@ def test_train_epoch_overfits_a_single_pair():
     pair = Pairs(np.array([[render(FactorVector(1, 2, 0.8), 8, 2),
                             render(FactorVector(4, 2, 0.8), 8, 2)]]), np.array(["x"]))
     params = ModelParams.initialize(SMALL, stream(0, "init"))
-    config = TrainConfig(schedule=Schedule(1.0, 0.0, 0.0), lr=1e-2, batch_size=1)
+    config = TrainConfig(gamma0=1.0, gamma_slope=0.0, sigma=0.0, lr=1e-2, batch_size=1)
     opt = Adam(config)
     first = train_epoch(params, opt, pair, config, 0)
     last = first
@@ -154,7 +156,7 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
     # final batch included.
     pairs = sprite_pairs(7, 7)
     params = ModelParams.initialize(SMALL, stream(1, "init"))
-    config = TrainConfig(schedule=Schedule(1.0, 0.0, 0.0), lr=0.0, batch_size=3, seed=2)
+    config = TrainConfig(gamma0=1.0, gamma_slope=0.0, sigma=0.0, lr=0.0, batch_size=3, seed=2)
     reported = train_epoch(params, Adam(config), pairs, config, 0)
 
     order = stream(2, "epoch", 0).permutation(7)
@@ -171,7 +173,7 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
 
 def test_train_epoch_is_deterministic_for_a_seed():
     pairs = sprite_pairs(3, 10)
-    config = TrainConfig(schedule=Schedule(2.0, 0.0, 0.05), batch_size=4, seed=5)
+    config = TrainConfig(gamma0=2.0, gamma_slope=0.0, sigma=0.05, batch_size=4, seed=5)
     runs = []
     for _ in range(2):
         params = ModelParams.initialize(SMALL, stream(5, "init"))
@@ -203,7 +205,7 @@ def roundtrip(tmp_path, ckpt):
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    config = TrainConfig(model=SMALL, schedule=Schedule(1.0, 0.25, 0.05), seed=11)
+    config = TrainConfig(model=SMALL, gamma0=1.0, gamma_slope=0.25, sigma=0.05, seed=11)
     params = ModelParams.initialize(SMALL, stream(11, "init"))
     back = roundtrip(tmp_path, Checkpoint(config=config, epoch=17, params=params))
     assert back.config == config
@@ -212,6 +214,17 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert {"epoch=17", "gamma=5.25", "sigma_at_epoch=0.05"} <= set(header)
     named, named_back = params.named(), back.params.named()
     assert all(np.array_equal(named[k], named_back[k]) for k in named)
+
+
+def test_checkpoint_header_key_order_is_fixed(tmp_path):
+    # The header's bytes follow the field order of ModelConfig and TrainConfig.
+    save_checkpoint(Checkpoint(TrainConfig(model=SMALL), 0, ModelParams.zeros(SMALL)),
+                    tmp_path / "ckpt.txt")
+    lines = (tmp_path / "ckpt.txt").read_bytes().split(b"\n\n", 1)[0].decode().splitlines()
+    assert [line.split("=", 1)[0] for line in lines[1:]] == [
+        "image_side", "latent_dim", "num_heads", "enc_hidden", "dec_hidden", "gate_hidden",
+        "gamma0", "gamma_slope", "sigma", "lr", "beta1", "beta2", "eps", "batch_size",
+        "checkpoint_every", "seed", "epoch", "gamma", "sigma_at_epoch", "payload_sha256"]
 
 
 def test_checkpoint_roundtrip_is_bit_exact_at_32x32_with_two_heads(tmp_path):
@@ -361,7 +374,7 @@ def test_mean_frame_of_a_loaded_set_matches_the_per_pair_loop(tmp_path, side):
 
 
 def test_fit_runs_and_checkpoints(tmp_path):
-    config = TrainConfig(model=SMALL, schedule=Schedule(1.0, 0.5, 0.05),
+    config = TrainConfig(model=SMALL, gamma0=1.0, gamma_slope=0.5, sigma=0.05,
                          batch_size=4, seed=3, checkpoint_every=1)
     final = fit(config, sprite_pairs(3, 20), epochs=2, out_dir=tmp_path, quiet=True)
     assert final.epoch == 2 and final.gamma == 2.0
@@ -423,7 +436,7 @@ def test_fit_epochs_zero_saves_initial_state(tmp_path):
     config = TrainConfig(model=SMALL, seed=1)
     pairs = sprite_pairs(1, 12)
     final = fit(config, pairs, epochs=0, out_dir=tmp_path, quiet=True)
-    assert final.epoch == 0 and final.gamma == config.schedule.gamma0
+    assert final.epoch == 0 and final.gamma == config.gamma0
     assert (tmp_path / "log.tsv").read_text() == ""
     train = split_validation(pairs)[0]
     expected = ModelParams.initialize(SMALL, stream(1, "init"),
