@@ -63,11 +63,11 @@ def _cmd_train(args) -> int:
 def _checkpoint_and_count(args):
     """The checkpoint and the dataset's pair count, refused if their frame sides differ."""
     ckpt = load_checkpoint(args.checkpoint)
-    info = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)[0]
-    if info.n != ckpt.config.model.image_side:
+    n, count, _ = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)
+    if n != ckpt.config.model.image_side:
         raise ValueError(f"checkpoint {args.checkpoint} image_side={ckpt.config.model.image_side}"
-                         f" does not match dataset {args.data} n={info.n}")
-    return ckpt, info.count
+                         f" does not match dataset {args.data} n={n}")
+    return ckpt, count
 
 
 def _cmd_eval(args) -> int:

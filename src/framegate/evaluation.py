@@ -131,14 +131,16 @@ def traverse(params: ModelParams, frame: np.ndarray, component: int,
 
     The frame is encoded once as a one-row block; its latent row is copied
     once per value, the component column set to the values, and all rows
-    decoded as one block. Values must be strictly increasing (a single
-    value is fine). A single value equal to the frame's own component
+    decoded as one block. Values must be finite and strictly increasing (a
+    single value is fine). A single value equal to the frame's own component
     reproduces the one-row reconstruction bit for bit.
     """
     values = np.array([float(v) for v in values])
     if not values.size:
         raise ValueError("traverse needs at least one value")
-    if np.any(np.diff(values) <= 0):
+    if not np.isfinite(values).all():
+        raise ValueError(f"traversal values must be finite, got {values.tolist()}")
+    if not (np.diff(values) > 0).all():  # written so that nan fails it too
         raise ValueError(f"traversal values must be strictly increasing, got {values.tolist()}")
     _check_component(params, component)
     latent = np.repeat(encode(np.reshape(frame, (1, -1)), params).data, values.size, axis=0)

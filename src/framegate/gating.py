@@ -1,9 +1,11 @@
 """Gating over latent components: scoring head, sharpening, combination, mixing.
 
-A gating head looks at how the representation changed between two
-consecutive frames and produces a simplex weighting over latent components;
-sharpening pushes that weighting toward one-hot as training progresses, with
-optional exploration noise. Multiple heads combine by probabilistic union.
+A gating head, four arrays laid out as `gate_weights` says, looks at how
+the representation changed between two consecutive frames and produces a
+simplex weighting over latent components; sharpening pushes that weighting
+toward one-hot as training progresses, with optional exploration noise.
+Multiple heads combine by probabilistic union. Inputs may be arrays or
+Tensors: `apply` makes plain arrays constants.
 """
 
 from __future__ import annotations
@@ -13,22 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, apply, constant
-
-
-@dataclass
-class GatingHead:
-    """Two-layer scorer: softmax(tanh([d; d * d] w1 + b1) w2 + b2).
-
-    d = curr - prev is the change of the latent between the two frames (see
-    `head_input`). The head sees which components moved and by how much, but
-    not the latents themselves, so an offset shared by every frame cannot
-    reach it. Matrices are stored (fan_in, fan_out), like the encoder's.
-    """
-
-    w1: object  # (2 * latent_dim, hidden), array or tape leaf
-    b1: object  # (hidden,)
-    w2: object  # (hidden, latent_dim)
-    b2: object  # (latent_dim,)
 
 
 @dataclass(frozen=True)
@@ -55,26 +41,25 @@ def head_input(h_prev, h_curr) -> Tensor:
 
     Accepts a pair of vectors or of row-batches.
     """
-    delta = apply("sub", [_as_tensor(h_curr), _as_tensor(h_prev)])
-    return apply("concat", [delta, apply("hadamard", [delta, delta])], {"axis": delta.ndim - 1})
+    delta = apply("sub", [h_curr, h_prev])
+    return apply("concat", [delta, apply("hadamard", [delta, delta])], {"axis": -1})
 
 
-def gate_weights(h_prev, h_curr, head: GatingHead) -> Tensor:
-    """Simplex weighting over latent components for a frame pair or a row block.
+def gate_weights(h_prev, h_curr, w1, b1, w2, b2) -> Tensor:
+    """Simplex weighting over latent components for a frame pair or a row block:
+    softmax(tanh([d; d * d] w1 + b1) w2 + b2) with d = h_curr - h_prev.
 
-    Differentiable in both latents and in the head parameters. The two
-    latents must have equal shapes, vectors or (batch, latent) rows; only
-    their difference reaches the head, so adding one vector to both leaves
-    the weighting unchanged.
+    The latents must have equal shapes, vectors or (batch, latent) rows. The
+    head sees which components moved and by how much (`head_input`), not the
+    latents themselves, so adding one vector to both leaves the weighting
+    unchanged. The head arrays are arrays or tape leaves, matrices stored
+    (fan_in, fan_out) like the encoder's: w1 is (2 * latent, hidden), b1
+    (hidden,), w2 (hidden, latent) and b2 (latent,).
     """
-    h_prev = _as_tensor(h_prev)
-    h_curr = _as_tensor(h_curr)
     if h_prev.shape != h_curr.shape:
         raise ValueError(f"latent shapes differ: {h_prev.shape} vs {h_curr.shape}")
-    both = head_input(h_prev, h_curr)
-    hidden = apply("tanh", [apply("add", [apply("matmul", [both, head.w1]), head.b1])])
-    scores = apply("add", [apply("matmul", [hidden, head.w2]), head.b2])
-    return apply("softmax", [scores], {"axis": -1})
+    hidden = apply("tanh", [apply("add", [apply("matmul", [head_input(h_prev, h_curr), w1]), b1])])
+    return apply("softmax", [apply("add", [apply("matmul", [hidden, w2]), b2])], {"axis": -1})
 
 
 def sharpen(w, params: SharpenParams, rng: np.random.Generator | None = None) -> Tensor:
@@ -130,9 +115,6 @@ def combine_heads(sharpened) -> Tensor:
 
 def mix(h_prev, h_curr, mask) -> Tensor:
     """Componentwise interpolation (1 - m) * h_prev + m * h_curr."""
-    h_prev = _as_tensor(h_prev)
-    h_curr = _as_tensor(h_curr)
-    mask = _as_tensor(mask)
     ones = constant(np.ones(mask.shape))
     kept = apply("hadamard", [apply("sub", [ones, mask]), h_prev])
     swapped = apply("hadamard", [mask, h_curr])

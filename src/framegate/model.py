@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, apply, constant
-from .gating import GatingHead, SharpenParams, combine_heads, gate_weights, hard_select, mix, sharpen
+from .gating import SharpenParams, combine_heads, gate_weights, hard_select, mix, sharpen
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class ModelConfig:
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     bound = np.sqrt(6.0 / sum(shape))
     return rng.uniform(-bound, bound, size=shape)
-
-
-_HEAD_FIELDS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -136,7 +133,7 @@ class ModelParams:
         return dict(self.arrays)
 
 
-def _mlp(x: Tensor, params: ModelParams, prefix: str, layers: int) -> Tensor:
+def _mlp(x, params: ModelParams, prefix: str, layers: int) -> Tensor:
     """Affine layers `{prefix}{i}` with a relu after each but the last."""
     out = x
     for i in range(layers):
@@ -152,18 +149,16 @@ def encode(frame, params) -> Tensor:
 
     Hidden layers are affine + relu; the final affine has no activation.
     """
-    x = frame if isinstance(frame, Tensor) else Tensor(frame)
-    expected = params.arrays["enc0.w"].shape[0]
-    if x.shape[-1] != expected:
-        raise ValueError(f"frame has {x.shape[-1]} pixels, encoder expects {expected}")
-    return _mlp(x, params, "enc", len(params.config.enc_hidden) + 1)
+    pixels, expected = np.shape(frame)[-1], params.arrays["enc0.w"].shape[0]
+    if pixels != expected:
+        raise ValueError(f"frame has {pixels} pixels, encoder expects {expected}")
+    return _mlp(frame, params, "enc", len(params.config.enc_hidden) + 1)
 
 
 def decode(latent, params) -> Tensor:
     """Frame reconstruction from a latent; final activation is a sigmoid,
     so outputs live in (0, 1)."""
-    z = latent if isinstance(latent, Tensor) else Tensor(latent)
-    return apply("sigmoid", [_mlp(z, params, "dec", len(params.config.dec_hidden) + 1)])
+    return apply("sigmoid", [_mlp(latent, params, "dec", len(params.config.dec_hidden) + 1)])
 
 
 @dataclass
@@ -199,9 +194,9 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
     stacked = encode(constant(np.concatenate([x_prev, x_curr], axis=0)), params)
     latent_prev = apply("slice", [stacked], {"axis": 0, "range": (0, b)})
     latent_curr = apply("slice", [stacked], {"axis": 0, "range": (b, 2 * b)})
-    heads = [GatingHead(*(params.arrays[f"head{k}.{f}"] for f in _HEAD_FIELDS))
-             for k in range(params.config.num_heads)]
-    weightings = [gate_weights(latent_prev, latent_curr, head) for head in heads]
+    weightings = [gate_weights(latent_prev, latent_curr,
+                               *(params.arrays[f"head{k}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+                  for k in range(params.config.num_heads)]
     if sharpen_params is not None:
         chosen = [sharpen(w, sharpen_params, rng) for w in weightings]
     else:

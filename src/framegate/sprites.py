@@ -63,12 +63,15 @@ def brightness_levels(levels: int) -> np.ndarray:
     """Evenly spaced brightness values from 0.2 to 1.0 inclusive, each its own frame byte."""
     if levels < 2:
         raise ValueError(f"need at least 2 brightness levels, got {levels}")
+    clash = ValueError(f"{levels} brightness levels do not fit 8-bit frames: two share a byte")
+    if levels > 256:  # more levels than byte values, refused before linspace allocates them
+        raise clash
     # linspace pins both endpoints exactly; a scaled arange can overshoot 1.0
     # by one ulp and fail the render range check.
     values = np.linspace(0.2, 1.0, levels)
     quantized = _quantize(values)  # non-decreasing, so equal bytes are neighbours
     if (quantized[1:] == quantized[:-1]).any():
-        raise ValueError(f"{levels} brightness levels do not fit 8-bit frames: two share a byte")
+        raise clash
     return values
 
 
@@ -164,33 +167,24 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
     atomic.write_bytes(out_dir / FRAMES_NAME, payload)
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
-    n: int
-    s: int
-    levels: int
-    count: int
-    seed: int
-
-
-def read_manifest(path) -> tuple[DatasetInfo, list[str]]:
-    """Parse and validate a dataset manifest; returns geometry plus labels."""
+def read_manifest(path) -> tuple[int, int, list[str]]:
+    """Parse and validate a dataset manifest; returns its frame side n, count and labels."""
     examples = {"version": 0, "n": 0, "s": 0, "L": 0, "count": 0, "seed": 0, "labels": ""}
     fields = keyvalue.read(Path(path).read_text(), examples, str(path), complete=True)
     if fields["version"] != BINARY_VERSION:
         raise ValueError(f"{path}: unknown dataset version {fields['version']!r}")
-    info = DatasetInfo(fields["n"], fields["s"], fields["L"], fields["count"], fields["seed"])
-    for key, ok, need in (("n", info.n >= 2, ">= 2"), ("s", 1 <= info.s < info.n, "in [1, n)"),
-                          ("L", info.levels >= 2, ">= 2"), ("count", info.count >= 1, ">= 1")):
+    n, count = fields["n"], fields["count"]
+    for key, ok, need in (("n", n >= 2, ">= 2"), ("s", 1 <= fields["s"] < n, "in [1, n)"),
+                          ("L", fields["L"] >= 2, ">= 2"), ("count", count >= 1, ">= 1")):
         if not ok:
             raise ValueError(f"{path}: {key}={fields[key]} must be {need}")
     labels = fields["labels"].split(",") if fields["labels"] else []
-    if len(labels) != info.count:
-        raise ValueError(f"{path}: manifest lists {len(labels)} labels for count={info.count}")
+    if len(labels) != count:
+        raise ValueError(f"{path}: manifest lists {len(labels)} labels for count={count}")
     for label in labels:
         if label not in FACTORS:
             raise ValueError(f"{path}: manifest contains unknown factor label {label!r}")
-    return info, labels
+    return n, count, labels
 
 
 def load_dataset(path, rows=slice(None)) -> Pairs:
@@ -198,14 +192,14 @@ def load_dataset(path, rows=slice(None)) -> Pairs:
     dataset directory. The frames file is memory-mapped, so only those rows are
     read; intensities are the stored bytes over 255, within 1/510 of the originals."""
     path = Path(path)
-    info, labels = read_manifest(path / MANIFEST_NAME)
+    n, count, labels = read_manifest(path / MANIFEST_NAME)
     frames = path / FRAMES_NAME
     size = frames.stat().st_size
-    expected = 1 + info.count * 2 * info.n * info.n
+    expected = 1 + count * 2 * n * n
     if size != expected:
         raise ValueError(f"{frames}: binary has {size} bytes, expected {expected}")
     blob = np.memmap(frames, dtype=np.uint8, mode="r")
     if blob[0] != BINARY_VERSION:
         raise ValueError(f"{frames}: unknown binary version {int(blob[0])}")
-    raw = blob[1:].view(np.ndarray).reshape(info.count, 2, -1)[rows]
+    raw = blob[1:].view(np.ndarray).reshape(count, 2, -1)[rows]
     return Pairs(np.divide(raw, 255.0), np.array(labels)[rows])

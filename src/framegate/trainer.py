@@ -251,13 +251,14 @@ def load_checkpoint(path) -> Checkpoint:
                                  f"{expected[key]!r} at epoch {header['epoch']}")
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
-    params = ModelParams.zeros(config.model)
-    if len(payload) != params.flat.nbytes:
-        state = "truncated" if len(payload) < params.flat.nbytes else "oversized"
-        raise CheckpointError(f"{path}: payload is {state}: {len(payload)} bytes, "
-                              f"expected {params.flat.nbytes}")
+    # Sized from the shapes, so a header naming a huge model is refused before it is allocated.
+    nbytes = _PAYLOAD_DTYPE.itemsize * sum(map(math.prod, ModelParams.shapes(config.model).values()))
+    if len(payload) != nbytes:
+        state = "truncated" if len(payload) < nbytes else "oversized"
+        raise CheckpointError(f"{path}: payload is {state}: {len(payload)} bytes, expected {nbytes}")
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload does not match payload_sha256")
+    params = ModelParams.zeros(config.model)
     params.flat[:] = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE)
     for name, arr in params.named().items():
         if not np.isfinite(arr).all():

@@ -230,8 +230,12 @@ def test_seed0_outputs_refuses_a_non_empty_out(tmp_path):
     (["--seed", "0", "--sprite", "0"], "sprite side 0"),
     (["--seed", "0", "--sprite", "-1"], "sprite side -1"),
     (["--seed", "0", "--levels", "1"], "at least 2 brightness levels"),
-    (["--seed", "0", "--levels", "206"], "206 brightness levels do not fit 8-bit frames")],
-    ids=["seed", "sprite", "sprite-zero", "sprite-negative", "levels", "levels-too-many"])
+    (["--seed", "0", "--levels", "206"], "206 brightness levels do not fit 8-bit frames"),
+    # More levels than byte values: refused before any array of that length is made.
+    (["--seed", "0", "--levels", "1000000000000"],
+     "1000000000000 brightness levels do not fit 8-bit frames")],
+    ids=["seed", "sprite", "sprite-zero", "sprite-negative", "levels", "levels-too-many",
+         "levels-beyond-bytes"])
 def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "ds"
     assert cli.run(["gen-data", "--out", str(out), "--count", "3", "--side", "8", *flags]) == 1

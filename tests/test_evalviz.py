@@ -147,6 +147,10 @@ def test_traverse_validation():
         evaluation.traverse(params, frame, 0, [])
     with pytest.raises(ValueError, match="strictly increasing"):
         evaluation.traverse(params, frame, 0, [0.0, 0.0])
+    # nan compares false with everything, so an order check alone would let it through.
+    for values in ([1.0, float("nan")], [float("nan")], [float("inf")], [-float("inf"), 0.0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            evaluation.traverse(params, frame, 0, values)
     with pytest.raises(ValueError, match="component"):
         evaluation.traverse(params, frame, 6, [0.0])
 

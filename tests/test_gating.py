@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from framegate.autodiff import Tape, Tensor, apply, backward, constant, grad_check
-from framegate.gating import (GatingHead, SharpenParams, combine_heads, gate_weights,
-                              hard_select, head_input, mix, sharpen)
+from framegate.gating import (SharpenParams, combine_heads, gate_weights, hard_select,
+                              head_input, mix, sharpen)
 
 TOL = 1e-5
 
 
 def make_head(rng, d, hidden=8):
-    return GatingHead(
+    return dict(
         w1=rng.normal(0, 0.5, size=(2 * d, hidden)),
         b1=rng.normal(0, 0.5, size=hidden),
         w2=rng.normal(0, 0.5, size=(hidden, d)),
@@ -28,9 +28,9 @@ def random_simplex(rng, d):
 
 def test_zero_head_gives_uniform_weights():
     d = 6
-    head = GatingHead(w1=np.zeros((2 * d, 8)), b1=np.zeros(8),
-                      w2=np.zeros((8, d)), b2=np.zeros(d))
-    w = gate_weights(np.ones(d), -np.ones(d), head)
+    head = dict(w1=np.zeros((2 * d, 8)), b1=np.zeros(8),
+                w2=np.zeros((8, d)), b2=np.zeros(d))
+    w = gate_weights(np.ones(d), -np.ones(d), **head)
     assert np.array_equal(w.data, np.full(d, 1.0 / d))
 
 
@@ -38,7 +38,7 @@ def test_gate_weights_on_simplex():
     rng = np.random.default_rng(3)
     head = make_head(rng, 5)
     for _ in range(50):
-        w = gate_weights(rng.normal(size=5), rng.normal(size=5), head).data
+        w = gate_weights(rng.normal(size=5), rng.normal(size=5), **head).data
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) < 1e-9
 
@@ -51,14 +51,14 @@ def test_gate_weights_permutation_equivariant():
     head = make_head(rng, d, hidden)
     h_prev, h_curr = rng.normal(size=d), rng.normal(size=d)
     perm = rng.permutation(d)
-    permuted = GatingHead(
-        w1=np.concatenate([head.w1[:d][perm], head.w1[d:][perm]], axis=0),
-        b1=head.b1,
-        w2=head.w2[:, perm],
-        b2=head.b2[perm],
+    permuted = dict(
+        w1=np.concatenate([head["w1"][:d][perm], head["w1"][d:][perm]], axis=0),
+        b1=head["b1"],
+        w2=head["w2"][:, perm],
+        b2=head["b2"][perm],
     )
-    base = gate_weights(h_prev, h_curr, head).data
-    moved = gate_weights(h_prev[perm], h_curr[perm], permuted).data
+    base = gate_weights(h_prev, h_curr, **head).data
+    moved = gate_weights(h_prev[perm], h_curr[perm], **permuted).data
     assert np.allclose(moved, base[perm], atol=1e-12)
 
 
@@ -68,11 +68,11 @@ def test_gate_weights_see_only_the_change():
     rng = np.random.default_rng(5)
     head = make_head(rng, 6)
     h_prev, h_curr = rng.normal(size=6), rng.normal(size=6)
-    base = gate_weights(h_prev, h_curr, head).data
+    base = gate_weights(h_prev, h_curr, **head).data
     offset = rng.normal(size=6) * 10.0
-    shifted = gate_weights(h_prev + offset, h_curr + offset, head).data
+    shifted = gate_weights(h_prev + offset, h_curr + offset, **head).data
     assert np.allclose(shifted, base, atol=1e-12)
-    assert not np.allclose(gate_weights(h_prev, 3.0 * h_curr, head).data, base)
+    assert not np.allclose(gate_weights(h_prev, 3.0 * h_curr, **head).data, base)
 
 
 def test_head_input_stacks_change_and_its_square():
@@ -87,18 +87,18 @@ def test_head_input_stacks_change_and_its_square():
 def test_gate_weights_rejects_bad_shapes():
     head = make_head(np.random.default_rng(0), 4)
     with pytest.raises(ValueError, match="differ"):
-        gate_weights(np.zeros(4), np.zeros(5), head)
+        gate_weights(np.zeros(4), np.zeros(5), **head)
     with pytest.raises(ValueError, match="differ"):
-        gate_weights(np.zeros((2, 4)), np.zeros((3, 4)), head)
+        gate_weights(np.zeros((2, 4)), np.zeros((3, 4)), **head)
 
 
 def test_gate_weights_of_a_row_block_match_each_row():
     rng = np.random.default_rng(7)
     head = make_head(rng, 4)
     h_prev, h_curr = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    rows = gate_weights(h_prev, h_curr, head).data
+    rows = gate_weights(h_prev, h_curr, **head).data
     for i in range(3):
-        assert np.allclose(rows[i], gate_weights(h_prev[i], h_curr[i], head).data, atol=1e-15)
+        assert np.allclose(rows[i], gate_weights(h_prev[i], h_curr[i], **head).data, atol=1e-15)
 
 
 # ---- sharpen ----
@@ -288,8 +288,8 @@ def test_gate_weights_gradient_each_argument():
         def f(leaf, vary=name):
             vals = dict(arrays)
             vals[vary] = leaf
-            head = GatingHead(vals["w1"], vals["b1"], vals["w2"], vals["b2"])
-            return weighted(gate_weights(vals["h_prev"], vals["h_curr"], head), cot)
+            return weighted(gate_weights(vals["h_prev"], vals["h_curr"], vals["w1"], vals["b1"],
+                                         vals["w2"], vals["b2"]), cot)
 
         # The head reads delta * delta, whose small entries leave some w1
         # coordinates near 1e-8, where rounding in central differences at a

@@ -115,7 +115,8 @@ def test_generate_prefix_property(tmp_path):
 
 def test_labels_cycle_through_factors(tmp_path):
     generate_dataset(tmp_path, count=7, seed=1, n=8, s=2, levels=3)
-    _, labels = read_manifest(tmp_path / MANIFEST_NAME)
+    n, count, labels = read_manifest(tmp_path / MANIFEST_NAME)
+    assert (n, count) == (8, 7)
     assert labels == ["x", "y", "brightness", "x", "y", "brightness", "x"]
     pairs = load_dataset(tmp_path)
     assert pairs.labels.tolist() == labels

@@ -314,6 +314,9 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
     flipped = bytearray(good)
     flipped[len(header) + 2 + 100] ^= 0x01
     refused(bytes(flipped), "does not match payload_sha256")
+    # A header naming a huge model is refused by size, before its 8 TB of parameters are allocated.
+    refused(good.replace(b"enc_hidden=16\n", b"enc_hidden=1000000,1000000\n"),
+            f"payload is truncated: {len(payload)} bytes, expected 8000576010912")
 
 
 def test_checkpoint_refuses_version_1_and_non_finite_values(tmp_path):
@@ -443,6 +446,30 @@ def test_fit_epochs_zero_saves_initial_state(tmp_path):
                                       mean_frame=mean_frame(train)).named()
     got = load_checkpoint(tmp_path / "checkpoint_final.txt").params.named()
     assert all(np.array_equal(expected[k], got[k]) for k in expected)
+
+
+def test_an_interrupted_fit_leaves_what_it_finished(tmp_path, monkeypatch):
+    config = TrainConfig(model=SMALL, batch_size=4, seed=4, checkpoint_every=2)
+    pairs = sprite_pairs(4, 20)
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    fit(config, pairs, epochs=5, out_dir=whole, quiet=True)
+    real_epoch = trainer.train_epoch
+
+    def train_epoch(params, opt, pairs, config, epoch):
+        if epoch == 3:
+            raise KeyboardInterrupt
+        return real_epoch(params, opt, pairs, config, epoch)
+
+    monkeypatch.setattr(trainer, "train_epoch", train_epoch)
+    with pytest.raises(KeyboardInterrupt):
+        fit(config, pairs, epochs=5, out_dir=cut, quiet=True)
+    rows = (whole / "log.tsv").read_text().splitlines(keepends=True)
+    assert len(rows) == 5 and (cut / "log.tsv").read_text() == "".join(rows[:3])
+    kept = ["checkpoint_epoch_0000.txt", "checkpoint_epoch_0002.txt"]
+    for name in kept:
+        assert (cut / name).read_bytes() == (whole / name).read_bytes()
+    # No final checkpoint and no temporary file from a half-done write.
+    assert sorted(p.name for p in cut.iterdir()) == [*kept, "log.tsv"]
 
 
 def test_fit_rejects_tiny_datasets(tmp_path):
