@@ -10,7 +10,7 @@ a command line front end (`cli`).
 from .autodiff import Tensor, Tape, apply, backward, constant, grad_check
 from .gating import SharpenParams, combine_heads, gate_weights, hard_select, mix, sharpen
 from .model import ForwardResult, ModelConfig, ModelParams, decode, encode, forward_pair
-from .sprites import FactorVector, Pairs, generate_dataset, load_dataset, render, sample_pair
+from .sprites import Pairs, generate_dataset, load_dataset, render, sample_pair
 from .trainer import Adam, Checkpoint, TrainConfig, fit, load_checkpoint, save_checkpoint, schedule_at, train_epoch
 
 __version__ = "0.1.0"

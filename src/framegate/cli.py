@@ -21,6 +21,7 @@ from .trainer import TrainConfig, fit, from_settings, held_out, load_checkpoint,
 
 
 _SETTINGS = settings(TrainConfig())
+MAX_STEPS = 1000  # traverse writes one PGM per step
 
 
 def _train_config(self, image_side: int) -> TrainConfig:
@@ -94,6 +95,8 @@ def _cmd_traverse(args) -> int:
         raise ValueError(f"pair index {args.pair_index} out of range for {count} pairs")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"at most {MAX_STEPS} steps (one PGM each), got {args.steps}")
     val = sprites.load_dataset(args.data, held_out(count)) or sprites.load_dataset(args.data)
     lo, hi = evaluation.observed_range(ckpt.params, val, args.component)
     if not lo < hi:
@@ -147,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--pair-index", type=int, required=True)
     tr.add_argument("--component", type=int, required=True)
-    tr.add_argument("--steps", type=int, default=8)
+    tr.add_argument("--steps", type=int, default=8,
+                    help=f"sweep points, 2 to {MAX_STEPS} (default: %(default)s)")
     tr.add_argument("--out", help="output directory (default: beside the checkpoint)")
     tr.set_defaults(func=_cmd_traverse)
     return parser

@@ -19,7 +19,7 @@ import numpy as np
 from . import atomic
 from .gating import SharpenParams, hard_select, sharpen
 from .model import ForwardResult, ModelParams, decode, encode, forward_pair
-from .sprites import FACTORS, Pairs
+from .sprites import FACTORS, Pairs, quantize
 
 _BLOCK = 256  # pairs per evaluated row block
 # P5, then width, height and maxval as unsigned decimals, then one whitespace byte.
@@ -183,7 +183,7 @@ def write_pgm(frame: np.ndarray, path) -> None:
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # nan fails both
         raise ValueError("intensities must lie in [0, 1]")
     height, width = arr.shape
-    payload = np.floor(arr * 255.0 + 0.5).astype(np.uint8).tobytes()
+    payload = quantize(arr).tobytes()
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     atomic.write_bytes(path, header + payload)
 

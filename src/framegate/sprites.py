@@ -8,7 +8,6 @@ so a dataset of 3k pairs covers each factor 1k times.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,15 +21,6 @@ FACTORS = ("x", "y", "brightness")
 MANIFEST_NAME = "manifest.txt"
 FRAMES_NAME = "frames.bin"
 BINARY_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FactorVector:
-    """Complete description of one frame: sprite corner position and brightness."""
-
-    x: int
-    y: int
-    brightness: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,22 +59,22 @@ def brightness_levels(levels: int) -> np.ndarray:
     # linspace pins both endpoints exactly; a scaled arange can overshoot 1.0
     # by one ulp and fail the render range check.
     values = np.linspace(0.2, 1.0, levels)
-    quantized = _quantize(values)  # non-decreasing, so equal bytes are neighbours
+    quantized = quantize(values)  # non-decreasing, so equal bytes are neighbours
     if (quantized[1:] == quantized[:-1]).any():
         raise clash
     return values
 
 
-def render(factors: FactorVector, n: int, s: int) -> np.ndarray:
-    """Rasterize one sprite onto an n-by-n frame, returned flat and row-major."""
+def render(x: int, y: int, brightness: float, n: int, s: int) -> np.ndarray:
+    """Reference raster of an s-by-s sprite at corner (x, y): an n-by-n frame, flat, row-major."""
     if s < 1 or s > n:
         raise ValueError(f"sprite side {s} does not fit a {n}x{n} frame")
-    if not (0 <= factors.x <= n - s and 0 <= factors.y <= n - s):
-        raise ValueError(f"sprite at ({factors.x}, {factors.y}) leaves the {n}x{n} frame")
-    if not 0.0 <= factors.brightness <= 1.0:
-        raise ValueError(f"brightness {factors.brightness} outside [0, 1]")
+    if not (0 <= x <= n - s and 0 <= y <= n - s):
+        raise ValueError(f"sprite at ({x}, {y}) leaves the {n}x{n} frame")
+    if not 0.0 <= brightness <= 1.0:
+        raise ValueError(f"brightness {brightness} outside [0, 1]")
     frame = np.zeros((n, n))
-    frame[factors.y:factors.y + s, factors.x:factors.x + s] = factors.brightness
+    frame[y:y + s, x:x + s] = brightness
     return frame.reshape(-1)
 
 
@@ -94,17 +84,13 @@ def _redraw_different(rng: np.random.Generator, old: int, count: int) -> int:
     return pick + 1 if pick >= old else pick
 
 
-@functools.lru_cache(maxsize=16)
-def _level_values(levels: int) -> tuple[float, ...]:
-    return tuple(brightness_levels(levels).tolist())
-
-
 def sample_pair(rng: np.random.Generator, factor: str, n: int, s: int,
-                levels: int) -> tuple[FactorVector, FactorVector]:
+                levels: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Draw a base frame, then change exactly `factor` for the second frame.
 
-    Returns the (prev, curr) factors. Draw order is fixed: x, y, brightness
-    level, then the redraw. The redrawn value always differs from the original.
+    Returns (prev, curr), each an (x, y, level) tuple of ints: the sprite's
+    corner and its index into `brightness_levels(levels)`. Draw order is fixed:
+    x, y, level, then the redraw. The redrawn value always differs from the original.
     """
     if factor not in FACTORS:
         raise ValueError(f"unknown factor {factor!r}, expected one of {FACTORS}")
@@ -113,22 +99,24 @@ def sample_pair(rng: np.random.Generator, factor: str, n: int, s: int,
     positions = n - s + 1
     if positions < 2:
         raise ValueError(f"frame side {n} with sprite side {s} leaves no room to move")
-    values = _level_values(levels)
+    if levels < 2:
+        raise ValueError(f"need at least 2 brightness levels, got {levels}")
     x = int(rng.integers(0, positions))
     y = int(rng.integers(0, positions))
     level = int(rng.integers(0, levels))
-    prev = FactorVector(x=x, y=y, brightness=values[level])
+    prev = x, y, level
     if factor == "x":
         x = _redraw_different(rng, x, positions)
     elif factor == "y":
         y = _redraw_different(rng, y, positions)
     else:
         level = _redraw_different(rng, level, levels)
-    return prev, FactorVector(x=x, y=y, brightness=values[level])
+    return prev, (x, y, level)
 
 
-def _quantize(frame: np.ndarray) -> np.ndarray:
-    # Round half away from zero; intensities are non-negative so floor(x + 0.5) does it.
+def quantize(frame: np.ndarray) -> np.ndarray:
+    """Intensities in [0, 1] as bytes: scaled by 255, rounded half away from zero
+    (floor(x + 0.5), as intensities are non-negative)."""
     return np.floor(frame * 255.0 + 0.5).astype(np.uint8)
 
 
@@ -141,21 +129,21 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
     The pair streams come from `streams(seed, count)`, which derives their
     seeds a block of pairs at a time and makes each generator when its pair
     is drawn.
-    Every pair is drawn before out_dir is made, so bad arguments leave no
-    directory behind.
+    Levels are checked before any pair is drawn, and every pair is drawn
+    before out_dir is made, so bad arguments leave no directory behind.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    level_bytes = quantize(brightness_levels(levels))
     labels = [FACTORS[i % len(FACTORS)] for i in range(count)]
-    frames = [v for rng, factor in zip(streams(seed, count), labels)
-              for v in sample_pair(rng, factor, n, s, levels)]
-    # _quantize is elementwise and keeps 0 at 0: each frame's lit pixels get its brightness's byte.
-    lit = _quantize(np.array([v.brightness for v in frames]))
-    corners = np.array([(v.y, v.x) for v in frames])[:, :, None]
+    draws = np.array([v for rng, factor in zip(streams(seed, count), labels)
+                      for v in sample_pair(rng, factor, n, s, levels)])  # (frame, x|y|level)
+    lit = level_bytes[draws[:, 2]]  # each frame's sprite byte
+    corners = draws[:, 1::-1, None]  # (frame, y|x, 1)
     inside = (np.arange(n) >= corners) & (np.arange(n) < corners + s)  # (frame, row|col, n)
-    payload = np.empty(1 + len(frames) * n * n, dtype=np.uint8)
+    payload = np.empty(1 + len(draws) * n * n, dtype=np.uint8)
     payload[0] = BINARY_VERSION
     np.multiply((inside[:, 0] * lit[:, None])[:, :, None], inside[:, 1, None, :],
                 out=payload[1:].reshape(-1, n, n))

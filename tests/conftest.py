@@ -3,7 +3,7 @@ for the terminal summary."""
 
 import numpy as np
 
-from framegate.sprites import FACTORS, Pairs, render, sample_pair
+from framegate.sprites import FACTORS, Pairs, brightness_levels, render, sample_pair
 from framegate.streams import stream
 
 CRITERION_LINES: list[str] = []
@@ -24,6 +24,8 @@ def sprite_pairs(seed, count, n=8):
     """`count` rendered, unquantized pairs with 2-pixel sprites and 3 brightness
     levels; pair i draws from stream(seed, i) and changes factor i mod 3."""
     labels = [FACTORS[i % 3] for i in range(count)]
-    frames = [[render(v, n, 2) for v in sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)]
+    values = brightness_levels(3)
+    frames = [[render(x, y, values[level], n, 2)
+               for x, y, level in sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)]
               for i, factor in enumerate(labels)]
     return Pairs(np.array(frames).reshape(count, 2, n * n), np.array(labels, dtype=str))

@@ -345,6 +345,11 @@ def test_traverse_argument_validation(tmp_path, capsys):
     assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data),
                     "--pair-index", "0", "--component", "0", "--steps", "1"]) == 1
     capsys.readouterr()
+    # Refused before linspace allocates the sweep: no numpy allocation error, no PGM.
+    assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data), "--pair-index", "0",
+                    "--component", "0", "--steps", "1000000000000"]) == 1
+    assert "at most 1000 steps (one PGM each), got 1000000000000" in capsys.readouterr().err
+    assert not list(out.glob("*.pgm"))
     for component in ("99", "-1"):
         assert cli.run(["traverse", "--checkpoint", ckpt, "--data", str(data),
                         "--pair-index", "0", "--component", component]) == 1

@@ -3,47 +3,49 @@
 import numpy as np
 import pytest
 
+from framegate import sprites
 from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME,
-                               FactorVector, _quantize, brightness_levels,
-                               generate_dataset, load_dataset, read_manifest, render,
-                               sample_pair)
+                               brightness_levels, generate_dataset, load_dataset, quantize,
+                               read_manifest, render, sample_pair)
 from framegate.streams import stream
 
 
 def rendered_pair(rng, factor, n, s, levels):
     """The (prev, curr) frames of one sampled pair, rendered unquantized."""
-    return tuple(render(v, n, s) for v in sample_pair(rng, factor, n, s, levels))
+    values = brightness_levels(levels)
+    return tuple(render(x, y, values[level], n, s)
+                 for x, y, level in sample_pair(rng, factor, n, s, levels))
 
 
 # ---- rendering ----
 
 def test_render_places_square_at_expected_pixels():
-    frame = render(FactorVector(x=2, y=1, brightness=0.6), n=5, s=2)
+    frame = render(2, 1, 0.6, n=5, s=2)
     lit = {1 * 5 + 2, 1 * 5 + 3, 2 * 5 + 2, 2 * 5 + 3}
     for idx in range(25):
         assert frame[idx] == (0.6 if idx in lit else 0.0)
 
 
 def test_render_corner_positions():
-    top_left = render(FactorVector(x=0, y=0, brightness=1.0), n=4, s=2)
+    top_left = render(0, 0, 1.0, n=4, s=2)
     assert top_left[0] == 1.0 and top_left[5] == 1.0
-    bottom_right = render(FactorVector(x=2, y=2, brightness=1.0), n=4, s=2)
+    bottom_right = render(2, 2, 1.0, n=4, s=2)
     assert bottom_right[15] == 1.0 and bottom_right[10] == 1.0
     assert top_left.sum() == bottom_right.sum() == 4.0
 
 
 def test_render_rejects_out_of_frame_sprite():
     with pytest.raises(ValueError, match="leaves the"):
-        render(FactorVector(x=3, y=0, brightness=0.5), n=4, s=2)
+        render(3, 0, 0.5, n=4, s=2)
     with pytest.raises(ValueError, match="leaves the"):
-        render(FactorVector(x=0, y=-1, brightness=0.5), n=4, s=2)
+        render(0, -1, 0.5, n=4, s=2)
 
 
 def test_render_rejects_bad_geometry_and_brightness():
     with pytest.raises(ValueError, match="does not fit"):
-        render(FactorVector(x=0, y=0, brightness=0.5), n=4, s=5)
+        render(0, 0, 0.5, n=4, s=5)
     with pytest.raises(ValueError, match="brightness"):
-        render(FactorVector(x=0, y=0, brightness=1.2), n=4, s=2)
+        render(0, 0, 1.2, n=4, s=2)
 
 
 def test_brightness_levels_are_evenly_spaced():
@@ -54,7 +56,7 @@ def test_brightness_levels_are_evenly_spaced():
 
 
 def test_brightness_levels_each_quantize_to_their_own_byte():
-    assert len(set(_quantize(brightness_levels(205)).tolist())) == 205
+    assert len(set(quantize(brightness_levels(205)).tolist())) == 205
     with pytest.raises(ValueError, match="206 brightness levels do not fit 8-bit frames"):
         brightness_levels(206)
 
@@ -93,6 +95,19 @@ def test_sample_pair_rejects_unknown_factor_and_frozen_geometry():
         sample_pair(rng, "x", n=4, s=4, levels=3)
     with pytest.raises(ValueError, match="sprite side 0 does not fit"):
         sample_pair(rng, "x", n=4, s=0, levels=3)
+    with pytest.raises(ValueError, match="at least 2 brightness levels"):
+        sample_pair(rng, "x", n=8, s=2, levels=1)
+
+
+def test_sample_pair_draws_integers_and_changes_one_of_them():
+    for trial in range(30):
+        factor = FACTORS[trial % 3]
+        prev, curr = sample_pair(np.random.default_rng(trial), factor, n=8, s=3, levels=4)
+        for draw in (prev, curr):
+            assert type(draw) is tuple and [type(v) for v in draw] == [int, int, int]
+            assert 0 <= draw[0] <= 5 and 0 <= draw[1] <= 5 and 0 <= draw[2] < 4
+        changed = [i for i in range(3) if prev[i] != curr[i]]
+        assert changed == [FACTORS.index(factor)]
 
 
 # ---- dataset files ----
@@ -113,6 +128,21 @@ def test_generate_prefix_property(tmp_path):
     assert long[:len(short)] == short
 
 
+@pytest.mark.parametrize("levels", [1, 206, 10**12])
+def test_generate_refuses_bad_levels_before_drawing(tmp_path, monkeypatch, levels):
+    calls = []
+    draw = sprites.sample_pair
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(sprites, "sample_pair", counted)
+    with pytest.raises(ValueError, match="brightness levels"):
+        generate_dataset(tmp_path / "d", count=3, seed=0, n=8, s=2, levels=levels)
+    assert calls == [] and not (tmp_path / "d").exists()
+
+
 def test_labels_cycle_through_factors(tmp_path):
     generate_dataset(tmp_path, count=7, seed=1, n=8, s=2, levels=3)
     n, count, labels = read_manifest(tmp_path / MANIFEST_NAME)
@@ -123,18 +153,21 @@ def test_labels_cycle_through_factors(tmp_path):
 
 
 @pytest.mark.parametrize("n,s,levels,seed", [(8, 2, 3, 3), (16, 4, 5, 3), (5, 1, 9, 3),
-                                               (8, 7, 2, 3), (8, 2, 3, 2**32 + 1)],
-                         ids=["8-2-3", "16-4-5", "5-1-9", "8-7-2", "8-2-3-two-word-seed"])
+                                               (8, 7, 2, 3), (8, 2, 3, 2**32 + 1),
+                                               (16, 4, 205, 3)],
+                         ids=["8-2-3", "16-4-5", "5-1-9", "8-7-2", "8-2-3-two-word-seed",
+                              "16-4-205"])
 def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, levels, seed):
     # The reference is the per-frame render, with each pair drawn from
     # numpy's own SeedSequence, so an off-by-one in the dataset raster or a
     # wrong pair stream shows as a differing byte.
     generate_dataset(tmp_path, count=13, seed=seed, n=n, s=s, levels=levels)
     expected = bytearray([BINARY_VERSION])
+    values = brightness_levels(levels)
     for i in range(13):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for factors in sample_pair(rng, FACTORS[i % 3], n, s, levels):
-            expected += _quantize(render(factors, n, s)).tobytes()
+        for x, y, level in sample_pair(rng, FACTORS[i % 3], n, s, levels):
+            expected += quantize(render(x, y, values[level], n, s)).tobytes()
     assert (tmp_path / FRAMES_NAME).read_bytes() == bytes(expected)
 
 

@@ -12,7 +12,7 @@ from conftest import sprite_pairs
 from framegate import evaluation, trainer
 from framegate.gating import SharpenParams
 from framegate.model import ModelConfig, ModelParams, forward_batch
-from framegate.sprites import FactorVector, Pairs, generate_dataset, load_dataset, render
+from framegate.sprites import Pairs, generate_dataset, load_dataset, render
 from framegate.streams import stream
 from framegate.trainer import (Adam, Checkpoint, CheckpointError, TrainConfig,
                                TrainingDiverged, fit, load_checkpoint, mean_frame,
@@ -138,8 +138,8 @@ def test_adam_rejects_a_gradient_of_another_shape():
 # ---- train_epoch ----
 
 def test_train_epoch_overfits_a_single_pair():
-    pair = Pairs(np.array([[render(FactorVector(1, 2, 0.8), 8, 2),
-                            render(FactorVector(4, 2, 0.8), 8, 2)]]), np.array(["x"]))
+    pair = Pairs(np.array([[render(1, 2, 0.8, 8, 2), render(4, 2, 0.8, 8, 2)]]),
+                 np.array(["x"]))
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     config = TrainConfig(gamma0=1.0, gamma_slope=0.0, sigma=0.0, lr=1e-2, batch_size=1)
     opt = Adam(config)
