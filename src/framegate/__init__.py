@@ -1,10 +1,10 @@
 """Two-frame autoencoder with annealed discrete gating.
 
-The package is organised bottom-up: a small reverse-mode tensor engine
-(`autodiff`), the gating operations built on it (`gating`), the encoder /
-decoder pair (`model`), a synthetic sprite-world dataset (`sprites`), the
-training loop (`trainer`), evaluation and image output (`evaluation`), and
-a command line front end (`cli`).
+Bottom-up: a reverse-mode tensor engine (`autodiff`), gating operations on
+it (`gating`), the encoder / decoder pair (`model`), seeded random streams
+(`streams`), a synthetic sprite-world dataset (`sprites`), the training loop
+(`trainer`), evaluation and image output (`evaluation`) and a command line
+front end (`cli`); `keyvalue` and `atomic` read and write their files.
 """
 
 from .autodiff import Tensor, Tape, apply, backward, constant, grad_check

@@ -20,24 +20,19 @@ from . import atomic, evaluation, keyvalue, sprites
 from .trainer import TrainConfig, fit, from_settings, held_out, load_checkpoint, settings
 
 
-_SETTINGS = settings(TrainConfig())
+# Every run setting but the frame side, which the dataset alone fixes.
+_SETTINGS = {key: value for key, value in settings(TrainConfig()).items() if key != "image_side"}
 MAX_STEPS = 1000  # traverse writes one PGM per step
 
 
 def _train_config(self, image_side: int) -> TrainConfig:
-    if self.image_side is not None and self.image_side != image_side:
-        raise ValueError(
-            f"config image_side={self.image_side} does not match dataset n={image_side}")
     return from_settings({**asdict(self), "image_side": image_side})
 
 
 # Everything a training run needs besides the dataset and output paths:
-# `epochs`, `image_side` (usually taken from the dataset manifest), then every
-# other key of `trainer.settings`, with the default of the dataclass that owns it.
+# `epochs`, then every key of `_SETTINGS`, with the default of the dataclass that owns it.
 RunConfig = make_dataclass(
-    "RunConfig",
-    [("epochs", int, 60), ("image_side", int | None, None),
-     *((key, type(value), value) for key, value in _SETTINGS.items() if key != "image_side")],
+    "RunConfig", [("epochs", int, 60), *((key, type(v), v) for key, v in _SETTINGS.items())],
     namespace={"__module__": __name__, "train_config": _train_config}, frozen=True)
 
 
@@ -61,22 +56,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_and_count(args):
-    """The checkpoint and the dataset's pair count, refused if their frame sides differ."""
+def _checkpoint_and_validation(args):
+    """The checkpoint, the dataset's pair count and its `held_out` validation
+    pairs alone, refused if the two frame sides differ."""
     ckpt = load_checkpoint(args.checkpoint)
     n, count, _ = sprites.read_manifest(Path(args.data) / sprites.MANIFEST_NAME)
     if n != ckpt.config.model.image_side:
         raise ValueError(f"checkpoint {args.checkpoint} image_side={ckpt.config.model.image_side}"
                          f" does not match dataset {args.data} n={n}")
-    return ckpt, count
+    return ckpt, count, sprites.load_dataset(args.data, held_out(count))
 
 
 def _cmd_eval(args) -> int:
     """The eval report from one hard-mode pass over the validation pairs alone."""
-    ckpt, count = _checkpoint_and_count(args)
-    val = sprites.load_dataset(args.data, held_out(count))
-    if not val:
-        raise ValueError("dataset too small to hold out a validation split")
+    ckpt, _, val = _checkpoint_and_validation(args)
     passed = evaluation.hard_pass(ckpt.params, val)
     text = evaluation.format_report(ckpt.gamma, evaluation.sharpness(passed, ckpt.gamma),
                                     evaluation.hard_mode_mse(passed),
@@ -90,17 +83,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_traverse(args) -> int:
-    ckpt, count = _checkpoint_and_count(args)
+    ckpt, count, val = _checkpoint_and_validation(args)
     if not 0 <= args.pair_index < count:
         raise ValueError(f"pair index {args.pair_index} out of range for {count} pairs")
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
     if args.steps > MAX_STEPS:
         raise ValueError(f"at most {MAX_STEPS} steps (one PGM each), got {args.steps}")
-    val = sprites.load_dataset(args.data, held_out(count)) or sprites.load_dataset(args.data)
     lo, hi = evaluation.observed_range(ckpt.params, val, args.component)
     if not lo < hi:
-        raise ValueError(f"component {args.component} is constant over the dataset")
+        raise ValueError(f"component {args.component} is constant over the validation pairs")
     frame = sprites.load_dataset(args.data, [args.pair_index]).x_curr[0]
     frames = evaluation.traverse(ckpt.params, frame, args.component,
                                  np.linspace(lo, hi, args.steps))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, apply, constant
+from .autodiff import CLAMP_MIN, Tensor, apply, constant
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def gate_weights(h_prev, h_curr, w1, b1, w2, b2) -> Tensor:
 def sharpen(w, params: SharpenParams, rng: np.random.Generator | None = None) -> Tensor:
     """Noise, clamp, exponentiate, renormalize.
 
-    Each component becomes max(w_i + n_i, 1e-12) ** gamma, n_i drawn from
+    Each component becomes max(w_i + n_i, CLAMP_MIN) ** gamma, n_i drawn from
     N(0, sigma^2), and the result is divided by the sum of all components so
     it stays on the simplex. The noise enters as a constant, so gradients
     treat the draw as frozen. gamma = 1 with sigma = 0 returns the input
@@ -84,7 +84,7 @@ def sharpen(w, params: SharpenParams, rng: np.random.Generator | None = None) ->
     # the rowwise max first (a constant w.r.t. gradients, contributing exactly
     # zero). Without it, sum(b^gamma) can fall below the clamp floor at large
     # gamma and the reciprocal goes wrong.
-    peak = np.maximum(base.data, 1e-12).max(axis=-1, keepdims=True)
+    peak = np.maximum(base.data, CLAMP_MIN).max(axis=-1, keepdims=True)
     scale = np.ascontiguousarray(np.broadcast_to(1.0 / peak, w.shape))
     scaled = apply("hadamard", [base, constant(scale)])
     powered = apply("scalar-pow", [scaled], {"exponent": float(params.gamma)})

@@ -129,22 +129,23 @@ def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
     The pair streams come from `streams(seed, count)`, which derives their
     seeds a block of pairs at a time and makes each generator when its pair
     is drawn.
-    Levels are checked before any pair is drawn, and every pair is drawn
-    before out_dir is made, so bad arguments leave no directory behind.
+    Levels are checked and the frames buffer is allocated before any pair
+    is drawn, and every pair is drawn before out_dir is made, so bad
+    arguments leave no directory behind.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     level_bytes = quantize(brightness_levels(levels))
+    payload = np.empty(1 + 2 * count * n * n, dtype=np.uint8)  # an impossible count fails first
+    payload[0] = BINARY_VERSION
     labels = [FACTORS[i % len(FACTORS)] for i in range(count)]
     draws = np.array([v for rng, factor in zip(streams(seed, count), labels)
                       for v in sample_pair(rng, factor, n, s, levels)])  # (frame, x|y|level)
     lit = level_bytes[draws[:, 2]]  # each frame's sprite byte
     corners = draws[:, 1::-1, None]  # (frame, y|x, 1)
     inside = (np.arange(n) >= corners) & (np.arange(n) < corners + s)  # (frame, row|col, n)
-    payload = np.empty(1 + len(draws) * n * n, dtype=np.uint8)
-    payload[0] = BINARY_VERSION
     np.multiply((inside[:, 0] * lit[:, None])[:, :, None], inside[:, 1, None, :],
                 out=payload[1:].reshape(-1, n, n))
     manifest = {"version": BINARY_VERSION, "n": n, "s": s, "L": levels, "count": count,

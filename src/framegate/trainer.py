@@ -267,7 +267,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def held_out(count: int) -> slice:
-    """Rows of a `count`-pair set held out for validation: the last tenth, by index."""
+    """Rows of a `count`-pair set held out for validation: the last tenth, by
+    index. Refused under 10 pairs, whose tenth would be empty."""
+    if count < 10:
+        raise ValueError(f"need at least 10 pairs for a validation split, got {count}")
     return slice(count - count // 10, count)
 
 
@@ -299,14 +302,11 @@ def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if len(pairs) < 10:
-        raise ValueError(f"need at least 10 pairs for a validation split, got {len(pairs)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_pairs, val_pairs = split_validation(pairs)
-
     params = ModelParams.initialize(config.model, stream(config.seed, "init"),
                                     mean_frame=mean_frame(train_pairs))
+    out_dir = Path(out_dir)  # made last, so a refused split or model leaves none behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     opt = Adam(config)
     save_checkpoint(Checkpoint(config, 0, params), out_dir / "checkpoint_epoch_0000.txt")
 

@@ -77,11 +77,10 @@ def test_parse_config_reports_line_numbers():
         cli.parse_config_text("enc_hidden = 128,\n")
 
 
-def test_run_config_checks_dataset_side():
-    config = cli.RunConfig(image_side=8)
-    assert config.train_config(8).model.image_side == 8
-    with pytest.raises(ValueError, match="does not match"):
-        config.train_config(16)
+def test_config_file_cannot_set_the_frame_side():
+    # The dataset alone fixes the frame side: `train_config(side)` takes it.
+    with pytest.raises(ValueError, match="^cfg:1: unknown key 'image_side'$"):
+        cli.parse_config_text("image_side = 8\n", "cfg")
 
 
 def test_settings_schema_has_one_source():
@@ -95,12 +94,12 @@ def test_settings_schema_has_one_source():
     assert list(flat) == [*(f.name for f in fields(ModelConfig)),
                           *(f.name for f in fields(TrainConfig) if f.name != "model")]
 
-    # RunConfig is built from the settings keys: `epochs` and `image_side`
-    # lead, then every other key in order with its owning dataclass's default.
+    # RunConfig is built from the settings keys: `epochs` leads, then every
+    # key but `image_side` in order with its owning dataclass's default.
     defaults = settings(TrainConfig())
     del defaults["image_side"]
     assert [(f.name, f.default) for f in fields(cli.RunConfig)] == [
-        ("epochs", 60), ("image_side", None), *defaults.items()]
+        ("epochs", 60), *defaults.items()]
 
 
 def test_run_config_replace_gives_the_direct_train_config():
@@ -110,16 +109,17 @@ def test_run_config_replace_gives_the_direct_train_config():
 
 
 def test_config_file_sets_every_setting():
-    values = {"image_side": 8, "latent_dim": 6, "num_heads": 2, "enc_hidden": (24, 12),
+    values = {"latent_dim": 6, "num_heads": 2, "enc_hidden": (24, 12),
               "dec_hidden": (10,), "gate_hidden": 5, "gamma0": 3.0, "gamma_slope": 0.5,
               "sigma": 0.0, "lr": 0.01, "beta1": 0.5, "beta2": 0.75, "eps": 1e-6,
               "batch_size": 7, "checkpoint_every": 3, "seed": 9}
     defaults = settings(TrainConfig())
+    del defaults["image_side"]  # the dataset's, passed to train_config
     assert list(values) == list(defaults)
     assert all(values[key] != defaults[key] for key in values)
     read = settings(cli.parse_config_text(keyvalue.write(values)).train_config(8))
     assert [(key, type(value), value) for key, value in read.items()] == \
-        [(key, type(value), value) for key, value in values.items()]
+        [(key, type(value), value) for key, value in {"image_side": 8, **values}.items()]
 
 
 # ---- exit codes ----
@@ -163,6 +163,20 @@ def test_train_refuses_bad_settings_before_writing(tmp_path, capsys, line, key):
     capsys.readouterr()
     assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
     assert re.search(f"'?{key}'? must be", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_train_refuses_a_model_it_cannot_allocate_before_writing(tmp_path, capsys):
+    # A 10^7 x 10^7 float64 weight needs 728 TiB, past a 47-bit address space,
+    # so the allocation fails on any host; `fit` makes its directory only after it.
+    data = gen(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    kept = [text for text in TINY_CONFIG.splitlines() if not text.startswith("enc_hidden")]
+    cfg.write_text("\n".join([*kept, "enc_hidden = 10000000,10000000"]) + "\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -243,6 +257,23 @@ def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, 
     assert not out.exists()
 
 
+def test_gen_data_allocates_the_frames_before_drawing(tmp_path, capsys, monkeypatch):
+    # 10^12 pairs of 16x16 frames need 466 TiB: the frames buffer is refused
+    # before a label list of that length is built or any pair is drawn.
+    sample_pair, calls = sprites.sample_pair, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_pair(*args, **kwargs)
+
+    monkeypatch.setattr(sprites, "sample_pair", counted)
+    out = tmp_path / "ds"
+    assert cli.run(["gen-data", "--out", str(out), "--seed", "0",
+                    "--count", "1000000000000"]) == 1
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_gen_data_flag_defaults_come_from_generate_dataset(capsys):
     args = cli.build_parser().parse_args(["gen-data", "--out", "x", "--seed", "0",
                                           "--count", "1"])
@@ -272,7 +303,7 @@ def test_eval_report_on_untrained_gate(tmp_path, capsys):
     # reported sharpness is exactly 1/32 and reconstruction is flat 0.5.
     data = gen(tmp_path, count=20, seed=2)
     capsys.readouterr()
-    config = cli.RunConfig(image_side=8, latent_dim=32, enc_hidden=(16,),
+    config = cli.RunConfig(latent_dim=32, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
     ckpt = Checkpoint(config=config, epoch=0, params=ModelParams.zeros(config.model))
     path = tmp_path / "zero.txt"
@@ -326,7 +357,7 @@ def test_traverse_rejects_constant_component(tmp_path, capsys):
     # All-zero parameters encode every frame to the same latent, so there is
     # no observed range to sweep.
     data = gen(tmp_path)
-    config = cli.RunConfig(image_side=8, latent_dim=6, enc_hidden=(16,),
+    config = cli.RunConfig(latent_dim=6, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
     path = tmp_path / "zero.txt"
     save_checkpoint(Checkpoint(config=config, epoch=0, params=ModelParams.zeros(config.model)),
@@ -389,7 +420,7 @@ def test_eval_runs_one_hard_pass(tmp_path, capsys, monkeypatch):
     # 3,000 pairs hold out 300 for validation: two row blocks, so one pass
     # over them calls forward_pair twice.
     data = gen(tmp_path, count=3000)
-    config = cli.RunConfig(image_side=8, latent_dim=6, enc_hidden=(16,),
+    config = cli.RunConfig(latent_dim=6, enc_hidden=(16,),
                            dec_hidden=(16,), gate_hidden=8).train_config(8)
     path = tmp_path / "init.txt"
     save_checkpoint(Checkpoint(config=config, epoch=0,
@@ -433,10 +464,29 @@ def test_eval_and_traverse_load_only_the_pairs_they_use(tmp_path, capsys, monkey
     assert cli.run(["traverse", "--checkpoint", str(ckpt), "--data", str(data),
                     "--pair-index", "4", "--component", "0", "--out", str(tmp_path / "a")]) == 0
     assert loaded == [3, 1]
-    # Under ten pairs nothing is held out, so traverse sweeps over all of them.
-    small = gen(tmp_path, name="small", count=5)
+    # Under ten pairs nothing can be held out: refused before any pair is loaded,
+    # never swept over the training pairs instead.
+    small = gen(tmp_path, name="small", count=9)
     loaded.clear()
     assert cli.run(["traverse", "--checkpoint", str(ckpt), "--data", str(small),
-                    "--pair-index", "4", "--component", "0", "--out", str(tmp_path / "b")]) == 0
-    assert loaded == [0, 5, 1]
+                    "--pair-index", "4", "--component", "0", "--out", str(tmp_path / "b")]) == 1
+    assert loaded == []
+    assert not (tmp_path / "b").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "{run}/again"], ["eval"],
+    ["traverse", "--pair-index", "0", "--component", "0"]])
+def test_commands_refuse_a_dataset_too_small_to_split(tmp_path, capsys, command):
+    # One rule, `trainer.held_out`, and one message for every command that splits a dataset.
+    run = train(tmp_path, gen(tmp_path))
+    small = gen(tmp_path, name="small", count=9)
+    written = sorted(run.iterdir())
+    capsys.readouterr()
+    ckpt = [] if command[0] == "train" else ["--checkpoint", str(run / "checkpoint_final.txt")]
+    assert cli.run([command[0], *ckpt, "--data", str(small),
+                    *(arg.format(run=run) for arg in command[1:])]) == 1
+    assert ("error: need at least 10 pairs for a validation split, got 9"
+            in capsys.readouterr().err)
+    assert sorted(run.iterdir()) == written  # no run directory, report or PGM

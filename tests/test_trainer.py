@@ -350,7 +350,12 @@ def test_split_validation_holds_out_last_tenth():
     assert np.array_equal(val.frames, pairs.frames[27:])
     assert val.labels.tolist() == pairs.labels[27:].tolist()
     assert held_out(30) == slice(27, 30)
-    assert held_out(9) == slice(9, 9)  # too few pairs to hold any out
+    assert held_out(10) == slice(9, 10)
+    # Under ten pairs the last tenth is empty: refused, by the split too.
+    with pytest.raises(ValueError, match="^need at least 10 pairs for a validation split, got 9$"):
+        held_out(9)
+    with pytest.raises(ValueError, match="got 9$"):
+        split_validation(pairs[:9])
 
 
 def test_mean_frame_averages_both_frames_of_every_pair():
@@ -474,7 +479,8 @@ def test_an_interrupted_fit_leaves_what_it_finished(tmp_path, monkeypatch):
 
 def test_fit_rejects_tiny_datasets(tmp_path):
     with pytest.raises(ValueError, match="10 pairs"):
-        fit(TrainConfig(model=SMALL), sprite_pairs(0, 9), epochs=1, out_dir=tmp_path)
+        fit(TrainConfig(model=SMALL), sprite_pairs(0, 9), epochs=1, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_fit_attaches_epoch_to_divergence(tmp_path):
