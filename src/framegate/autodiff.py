@@ -70,10 +70,6 @@ class Tensor:
             raise ValueError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        tag = f", node={self.node}" if self.node is not None else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
-
 
 def constant(data) -> Tensor:
     """Tensor that never tracks gradients."""
@@ -130,19 +126,11 @@ def _pair(kind: str, arrays: list[np.ndarray], allow_row_broadcast: bool) -> lis
     a, b = _inputs(kind, arrays, 2)
     if a.shape == b.shape:
         return arrays
-    if allow_row_broadcast:
-        # A vector may broadcast across the rows of a matrix (bias terms in
-        # batched affine layers). Nothing wider than that.
-        if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-            return arrays
-        if a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0]:
-            return arrays
+    # A second-input vector may broadcast across the rows of a matrix (bias
+    # terms in batched affine layers). Nothing wider than that.
+    if allow_row_broadcast and a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
+        return arrays
     raise ShapeMismatch(f"{kind}: shapes {a.shape} and {b.shape} do not conform")
-
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse of the row broadcast allowed for add/sub.
-    return grad if grad.shape == shape else grad.sum(axis=0)
 
 
 def _forward(kind: str, arrays: list[np.ndarray], attrs: dict):
@@ -165,27 +153,22 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict):
             raise ShapeMismatch(f"matmul: shapes {a.shape} and {b.shape} do not conform")
 
         def vjp(grad, needs):
-            grad_a = grad_b = None
-            if needs[0] and b.ndim == 1:
-                grad_a = np.outer(grad, b) if a.ndim == 2 else grad * b
-            elif needs[0]:
-                grad_a = grad @ b.T if a.ndim == 2 else b @ grad
-            if needs[1] and a.ndim == 1:
-                grad_b = np.outer(a, grad) if b.ndim == 2 else grad * a
-            elif needs[1]:
-                grad_b = a.T @ grad
-            return [grad_a, grad_b]
+            # A vector a is one row and a vector b one column, so one formula
+            # serves every rank; each result takes its input's shape back.
+            rows, cols = np.atleast_2d(a), np.atleast_2d(b.T).T
+            g = grad.reshape(len(rows), cols.shape[1])
+            return [(g @ cols.T).reshape(a.shape) if needs[0] else None,
+                    (rows.T @ g).reshape(b.shape) if needs[1] else None]
         return a @ b, vjp
-    if kind == "add":
+    if kind in ("add", "sub"):
         a, b = _pair(kind, arrays, allow_row_broadcast=True)
-        shape_a, shape_b = a.shape, b.shape
-        return a + b, lambda grad, needs: [_reduce_to(grad, shape_a) if needs[0] else None,
-                                           _reduce_to(grad, shape_b) if needs[1] else None]
-    if kind == "sub":
-        a, b = _pair(kind, arrays, allow_row_broadcast=True)
-        shape_a, shape_b = a.shape, b.shape
-        return a - b, lambda grad, needs: [_reduce_to(grad, shape_a) if needs[0] else None,
-                                           -_reduce_to(grad, shape_b) if needs[1] else None]
+        negate, shape_b = kind == "sub", b.shape
+
+        def vjp(grad, needs):
+            # Only b may be a row-broadcast vector: its gradient sums the rows.
+            grad_b = (grad if grad.shape == shape_b else grad.sum(axis=0)) if needs[1] else None
+            return [grad if needs[0] else None, -grad_b if negate and needs[1] else grad_b]
+        return a - b if negate else a + b, vjp
     if kind == "hadamard":
         a, b = _pair(kind, arrays, allow_row_broadcast=False)
         return a * b, lambda grad, needs: [grad * b if needs[0] else None,
@@ -342,7 +325,7 @@ def grad_check(f, point, step: float = 1e-6) -> float:
     leaf = tape.leaf(x0.copy())
     loss = f(leaf)
     grads = backward(loss)
-    analytic = grads.get(leaf.node, np.zeros_like(x0)) if grads else np.zeros_like(x0)
+    analytic = grads.get(leaf.node, np.zeros_like(x0))
 
     worst = 0.0
     flat0 = x0.reshape(-1)

@@ -10,7 +10,7 @@ current frame from that mixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,15 +82,24 @@ class ModelParams:
                         f"head{k}.w2": (hidden, d), f"head{k}.b2": (d,)})
         return out
 
+    @staticmethod
+    def size(config: ModelConfig) -> int:
+        """Number of values in `flat`, counted from a one-head listing so that
+        a huge head count is never listed head by head."""
+        one = {name: math.prod(shape)
+               for name, shape in ModelParams.shapes(replace(config, num_heads=1)).items()}
+        head = sum(size for name, size in one.items() if name.startswith("head"))
+        return sum(one.values()) + (config.num_heads - 1) * head
+
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero parameters: a fixed point in tests, the buffer a
-        checkpoint loads into, and the one `initialize` draws into."""
-        shapes = cls.shapes(config)
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        checkpoint loads into, and the one `initialize` draws into. `flat` is
+        allocated before the heads are listed."""
+        flat = np.zeros(cls.size(config))
         arrays: dict[str, np.ndarray] = {}
         offset = 0
-        for name, shape in shapes.items():
+        for name, shape in cls.shapes(config).items():
             size = math.prod(shape)
             arrays[name] = flat[offset:offset + size].reshape(shape)
             offset += size

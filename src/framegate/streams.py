@@ -127,7 +127,7 @@ def _seeded():
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"precomputed seed words are 4 uint64, not {n_words} {dtype}")
+                raise ValueError(f"precomputed seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
             return self.words
 
     return Seeded

@@ -251,8 +251,8 @@ def load_checkpoint(path) -> Checkpoint:
                                  f"{expected[key]!r} at epoch {header['epoch']}")
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from None
-    # Sized from the shapes, so a header naming a huge model is refused before it is allocated.
-    nbytes = _PAYLOAD_DTYPE.itemsize * sum(map(math.prod, ModelParams.shapes(config.model).values()))
+    # Sized from the config, so a header naming a huge model is refused before it is allocated.
+    nbytes = _PAYLOAD_DTYPE.itemsize * ModelParams.size(config.model)
     if len(payload) != nbytes:
         state = "truncated" if len(payload) < nbytes else "oversized"
         raise CheckpointError(f"{path}: payload is {state}: {len(payload)} bytes, expected {nbytes}")

@@ -109,6 +109,10 @@ def test_shape_mismatch_names_shapes():
         apply("matmul", [np.zeros((2, 3)), np.zeros((2, 3))])
     with pytest.raises(ShapeMismatch):
         apply("hadamard", [np.zeros((2, 3)), np.zeros(3)])
+    # A vector broadcasts over a matrix's rows only as the second input.
+    for kind in ("add", "sub"):
+        with pytest.raises(ShapeMismatch, match=rf"{kind}: shapes \(3,\) and \(2, 3\) do not conform"):
+            apply(kind, [np.zeros(3), np.zeros((2, 3))])
 
 
 def test_slice_range_validated():
@@ -116,6 +120,36 @@ def test_slice_range_validated():
         apply("slice", [np.zeros(4)], {"axis": 0, "range": (2, 6)})
     with pytest.raises(ShapeMismatch):
         apply("slice", [np.zeros(4)], {"axis": 0, "range": (3, 3)})
+    with pytest.raises(ShapeMismatch, match=r"slice: axis 1 out of range for shape \(4,\)"):
+        apply("slice", [np.zeros(4)], {"axis": 1, "range": (0, 2)})
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Tensor(np.zeros(2)).item(), ValueError,
+     r"item\(\) needs a one-element tensor, got shape \(2,\)"),
+    (lambda: apply("relu", [np.zeros(2), np.zeros(2)]), ShapeMismatch,
+     "relu takes exactly one input"),
+    (lambda: apply("matmul", [np.zeros((2, 2))]), ShapeMismatch,
+     "matmul takes exactly two inputs"),
+    (lambda: apply("matmul", [np.zeros((2, 2, 2)), np.zeros((2, 2))]), ShapeMismatch,
+     r"matmul supports vectors and matrices, got \(2, 2, 2\) and \(2, 2\)"),
+    (lambda: apply("scalar-pow", [np.ones(2)]), ValueError,
+     "scalar-pow needs an 'exponent' attribute"),
+    (lambda: apply("softmax", [np.zeros((2, 3))], {"axis": 2}), ShapeMismatch,
+     r"softmax: axis 2 out of range for shape \(2, 3\)"),
+    (lambda: apply("concat", [np.zeros(2)]), ShapeMismatch,
+     "concat takes at least two inputs"),
+    (lambda: apply("concat", [np.zeros(2), np.zeros(3)], {"axis": 1}), ShapeMismatch,
+     r"concat: axis 1 out of range for shape \(2,\)"),
+    (lambda: apply("concat", [np.zeros((2, 3)), np.zeros(3)]), ShapeMismatch,
+     r"concat: ranks differ, \(2, 3\) vs \(3,\)"),
+    (lambda: apply("concat", [np.zeros((2, 3)), np.zeros((2, 4))]), ShapeMismatch,
+     r"concat: shapes \(2, 3\) and \(2, 4\) disagree off axis 0"),
+], ids=["item", "relu-arity", "matmul-arity", "matmul-rank", "pow-exponent", "softmax-axis",
+        "concat-arity", "concat-axis", "concat-rank", "concat-shape"])
+def test_refusals_name_the_problem(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("attrs, missing", [({"range": (0, 2)}, "axis"),
@@ -144,6 +178,27 @@ def test_mixed_tapes_rejected():
     b = t2.leaf(np.ones(2))
     with pytest.raises(ValueError, match="different tapes"):
         apply("add", [a, b])
+
+
+def test_backward_skips_records_off_the_loss_path():
+    # A record whose output the loss never reads gets no adjoint, so its vjp
+    # is never called and the leaves' gradients are those of the tape without it.
+    def leaf_grads(detour):
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, -2.0, 3.0]))
+        w = tape.leaf(np.array([0.5, 0.25, 2.0]))
+        h = apply("hadamard", [x, w])
+        if detour:
+            apply("tanh", [h])
+
+            def called(grad, needs):
+                raise AssertionError("vjp of a record off the loss path was called")
+            tape.records[-1].vjp = called
+        return backward(apply("sum", [apply("relu", [h])]))
+
+    plain, detoured = leaf_grads(False), leaf_grads(True)
+    assert plain.keys() == detoured.keys() == {0, 1}
+    assert all(np.array_equal(plain[nid], detoured[nid]) for nid in plain)
 
 
 def test_unreachable_leaf_gets_zero_gradient():
@@ -235,7 +290,9 @@ def test_no_recording_without_differentiable_inputs():
                                           ("sub", ((2, 3), (3,))),
                                           ("mean-squared-error", ((5,), (5,))),
                                           ("add", ((2, 3), (3,))),
-                                          ("concat", ((2, 3), (4, 3)))])
+                                          ("concat", ((2, 3), (4, 3))),
+                                          ("matmul", ((3, 4), (4,))),
+                                          ("matmul", ((0, 4), (4, 2)))])
 @pytest.mark.parametrize("slot", [0, 1])
 def test_backward_skips_inputs_that_need_no_gradient(kind, shapes, slot):
     # The vjp that _forward returns computes only the flagged inputs' gradients.
@@ -244,6 +301,7 @@ def test_backward_skips_inputs_that_need_no_gradient(kind, shapes, slot):
     output, vjp = _forward(kind, inputs, {})
     grad = rng.normal(size=output.shape)
     full = vjp(grad, [True, True])
+    assert [g.shape for g in full] == list(shapes)
     needs = [i != slot for i in range(2)]
     partial = vjp(grad, needs)
     assert partial[slot] is None
@@ -311,11 +369,14 @@ def _random_case(kind, rng):
         cot_b = rng.normal(size=(3, 3))
         cot_v = rng.normal(size=4)
         cot_u = rng.normal(size=3)
+        v = rng.normal(size=4)
+        cot_m = rng.normal(size=5)
         return [
             (lambda t: _weighted_sum(apply("matmul", [t, constant(b)]), cot_a), rng.normal(size=(5, 3))),
             (lambda t: _weighted_sum(apply("matmul", [constant(b), t]), cot_b), rng.normal(size=(4, 3))),
             (lambda t: _weighted_sum(apply("matmul", [constant(w), t]), cot_v), rng.normal(size=3)),
             (lambda t: _weighted_sum(apply("matmul", [t, constant(w)]), cot_u), rng.normal(size=4)),
+            (lambda t: _weighted_sum(apply("matmul", [t, constant(v)]), cot_m), rng.normal(size=(5, 4))),
         ]
     if kind in ("add", "sub"):
         other = rng.normal(size=(4, 3))
@@ -375,23 +436,25 @@ def _analytic_grad(f, point):
 
 @pytest.mark.parametrize("kind", sorted(PRIMITIVE_KINDS))
 def test_primitive_gradients_match_central_differences(kind):
-    # 100 random inputs per primitive, spread over its variants.  Central
-    # differences at STEP carry absolute roundoff noise near 1e-9 here, so a
-    # coordinate whose true gradient sits in (0, 1e-3) cannot be resolved to
-    # TOL however correct the adjoint is; redraw those points.  Exact zeros
-    # are fine: the loss ignores that coordinate and both sides agree on 0.
+    # 100 random inputs per primitive, spread over its variants, and at least
+    # 25 for each variant.  Central differences at STEP carry absolute
+    # roundoff noise near 1e-9 here, so a coordinate whose true gradient sits
+    # in (0, 1e-3) cannot be resolved to TOL however correct the adjoint is;
+    # redraw those points.  Exact zeros are fine: the loss ignores that
+    # coordinate and both sides agree on 0.
     rng = stream(0, kind)
-    done = 0
+    done = {}
     attempts = 0
-    while done < 100:
+    while not done or sum(done.values()) < 100 or min(done.values()) < 25:
         attempts += 1
         assert attempts < 2000, "too many ill-conditioned draws"
-        for f, point in _random_case(kind, rng):
+        for variant, (f, point) in enumerate(_random_case(kind, rng)):
+            done.setdefault(variant, 0)
             grad = _analytic_grad(f, point)
             if np.any((grad != 0.0) & (np.abs(grad) < 1e-3)):
                 continue
             assert grad_check(f, point, STEP) <= TOL
-            done += 1
+            done[variant] += 1
 
 
 def test_grad_check_catches_a_wrong_gradient():

@@ -166,18 +166,28 @@ def test_train_refuses_bad_settings_before_writing(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-def test_train_refuses_a_model_it_cannot_allocate_before_writing(tmp_path, capsys):
-    # A 10^7 x 10^7 float64 weight needs 728 TiB, past a 47-bit address space,
-    # so the allocation fails on any host; `fit` makes its directory only after it.
+def test_train_refuses_a_model_it_cannot_allocate_before_writing(tmp_path, capsys, monkeypatch):
+    # A 10^7 x 10^7 float64 weight needs 728 TiB, and 10^6 heads on a 10^6-wide
+    # latent need 182 TiB: past a 47-bit address space, so the allocation fails
+    # on any host. `fit` makes its directory only after it, and the parameters
+    # are sized without listing every head.
+    shapes = ModelParams.shapes
+
+    def listed(config):
+        assert config.num_heads < 1000000, "listed every head of a huge model"
+        return shapes(config)
+
+    monkeypatch.setattr(ModelParams, "shapes", staticmethod(listed))
     data = gen(tmp_path)
     cfg = tmp_path / "run.cfg"
-    kept = [text for text in TINY_CONFIG.splitlines() if not text.startswith("enc_hidden")]
-    cfg.write_text("\n".join([*kept, "enc_hidden = 10000000,10000000"]) + "\n")
     out = tmp_path / "run"
-    capsys.readouterr()
-    assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
-    assert "error: Unable to allocate" in capsys.readouterr().err
-    assert not out.exists()
+    for huge in ({"enc_hidden": "10000000,10000000"}, {"latent_dim": "1000000", "num_heads": "1000000"}):
+        kept = [text for text in TINY_CONFIG.splitlines() if text.split(" = ")[0] not in huge]
+        cfg.write_text("\n".join([*kept, *(f"{key} = {value}" for key, value in huge.items())]) + "\n")
+        capsys.readouterr()
+        assert cli.run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_refuses_an_empty_dataset_before_writing(tmp_path, capsys):

@@ -219,6 +219,8 @@ def test_pgm_write_validation(tmp_path):
         evaluation.write_pgm(np.full((2, 2), 1.5), tmp_path / "f.pgm")
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         evaluation.write_pgm(np.array([[np.nan, 0.5]]), tmp_path / "f.pgm")
+    with pytest.raises(ValueError, match="write_pgm needs a non-empty frame"):
+        evaluation.write_pgm(np.zeros((0, 0)), tmp_path / "f.pgm")
     assert not (tmp_path / "f.pgm").exists()
 
 

@@ -1,5 +1,8 @@
 """Encoder/decoder, two-frame forward pass, batched path, full-model gradients."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,13 @@ def test_initialize_bounds_and_zero_biases():
             assert np.abs(arr).max() <= np.sqrt(6.0 / sum(arr.shape)), name
         else:
             assert np.array_equal(arr, np.zeros_like(arr)), name
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+def test_size_counts_every_listed_value(heads):
+    config = replace(SMALL, num_heads=heads)
+    listed = sum(math.prod(shape) for shape in ModelParams.shapes(config).values())
+    assert ModelParams.size(config) == listed == ModelParams.zeros(config).flat.size
 
 
 def test_initialize_deterministic_in_seed():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import framegate
-from framegate.streams import BLOCK, stream, streams
+from framegate.streams import BLOCK, _seeded, stream, streams
 
 # 2**130 + 5 has five 32-bit words, one more than SeedSequence's pool, so it
 # runs the branch that mixes the remaining entropy into the pool.
@@ -62,6 +62,12 @@ def test_negative_seed_or_component_is_refused(seed, path):
 def test_streams_refuses_a_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
         next(streams(-1, 3))
+
+
+def test_precomputed_seed_words_refuse_any_other_request():
+    seeded = _seeded()(np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError, match="^precomputed seed words are 4 uint64, not 8 uint32$"):
+        seeded.generate_state(8, np.uint32)
 
 
 def test_importing_framegate_leaves_numpy_random_unloaded():

@@ -186,6 +186,10 @@ def test_train_epoch_input_validation():
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     with pytest.raises(ValueError, match="non-empty"):
         train_epoch(params, Adam(), sprite_pairs(0, 2)[:0], TrainConfig(), 0)
+    # Tape-leaf parameters, say, hold no flat vector for Adam to update.
+    with pytest.raises(ValueError, match="train_epoch needs parameters that own a flat vector"):
+        train_epoch(ModelParams(SMALL, dict(params.arrays)), Adam(), sprite_pairs(0, 2),
+                    TrainConfig(), 0)
 
 
 def test_train_epoch_raises_on_nonfinite_loss():
@@ -271,7 +275,7 @@ def test_parameters_are_views_of_one_flat_vector_in_named_order(tmp_path):
     assert all(np.all(arr == 0.5) for arr in params.named().values())
 
 
-def test_checkpoint_errors_name_the_problem(tmp_path):
+def test_checkpoint_errors_name_the_problem(tmp_path, monkeypatch):
     config = TrainConfig(model=SMALL)
     ckpt = Checkpoint(config=config, epoch=0,
                       params=ModelParams.initialize(SMALL, stream(0, "init")))
@@ -317,6 +321,17 @@ def test_checkpoint_errors_name_the_problem(tmp_path):
     # A header naming a huge model is refused by size, before its 8 TB of parameters are allocated.
     refused(good.replace(b"enc_hidden=16\n", b"enc_hidden=1000000,1000000\n"),
             f"payload is truncated: {len(payload)} bytes, expected 8000576010912")
+    # So is a huge head count (200 TB of parameters), without listing every head.
+    shapes = ModelParams.shapes
+
+    def listed(config):
+        assert config.num_heads < 1000000, "listed every head of a huge model"
+        return shapes(config)
+
+    monkeypatch.setattr(ModelParams, "shapes", staticmethod(listed))
+    refused(good.replace(b"latent_dim=6\n", b"latent_dim=1000000\n")
+            .replace(b"num_heads=1\n", b"num_heads=1000000\n"),
+            f"payload is truncated: {len(payload)} bytes, expected 200000328017152")
 
 
 def test_checkpoint_refuses_version_1_and_non_finite_values(tmp_path):
@@ -480,6 +495,12 @@ def test_an_interrupted_fit_leaves_what_it_finished(tmp_path, monkeypatch):
 def test_fit_rejects_tiny_datasets(tmp_path):
     with pytest.raises(ValueError, match="10 pairs"):
         fit(TrainConfig(model=SMALL), sprite_pairs(0, 9), epochs=1, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_fit_refuses_a_negative_epoch_count_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+        fit(TrainConfig(model=SMALL), sprite_pairs(0, 20), epochs=-1, out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
