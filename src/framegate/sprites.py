@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, keyvalue
-from .streams import streams
+from .streams import pair_words, stream
 
 FACTORS = ("x", "y", "brightness")
 
@@ -78,6 +78,15 @@ def render(x: int, y: int, brightness: float, n: int, s: int) -> np.ndarray:
     return frame.reshape(-1)
 
 
+def _positions(n: int, s: int) -> int:
+    """Corner positions per axis of an s-pixel sprite in an n-pixel frame, at least 2."""
+    if s < 1:
+        raise ValueError(f"sprite side {s} does not fit a {n}x{n} frame")
+    if n - s + 1 < 2:
+        raise ValueError(f"frame side {n} with sprite side {s} leaves no room to move")
+    return n - s + 1
+
+
 def _redraw_different(rng: np.random.Generator, old: int, count: int) -> int:
     # Uniform over the other count - 1 values; never re-samples in a loop.
     pick = int(rng.integers(0, count - 1))
@@ -94,11 +103,7 @@ def sample_pair(rng: np.random.Generator, factor: str, n: int, s: int,
     """
     if factor not in FACTORS:
         raise ValueError(f"unknown factor {factor!r}, expected one of {FACTORS}")
-    if s < 1:
-        raise ValueError(f"sprite side {s} does not fit a {n}x{n} frame")
-    positions = n - s + 1
-    if positions < 2:
-        raise ValueError(f"frame side {n} with sprite side {s} leaves no room to move")
+    positions = _positions(n, s)
     if levels < 2:
         raise ValueError(f"need at least 2 brightness levels, got {levels}")
     x = int(rng.integers(0, positions))
@@ -120,29 +125,54 @@ def quantize(frame: np.ndarray) -> np.ndarray:
     return np.floor(frame * 255.0 + 0.5).astype(np.uint8)
 
 
+def _bounded(words: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(0, high) on one next_uint32 word each, by numpy's bounded
+    draw (Lemire, ACM TOMACS 2019), and whether numpy would reject that word."""
+    product = words.astype(np.uint64) * high
+    return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < (2**32 - high) % high
+
+
 def generate_dataset(out_dir, count: int, seed: int, n: int = 16, s: int = 4,
                      levels: int = 5) -> None:
     """Write `count` frame pairs plus a manifest under out_dir.
 
     Pair i draws from stream(seed, i) and changes factor i mod 3, so any
     pair can be regenerated without the rest and reruns are byte-identical.
-    The pair streams come from `streams(seed, count)`, which derives their
-    seeds a block of pairs at a time and makes each generator when its pair
-    is drawn.
-    Levels are checked and the frames buffer is allocated before any pair
-    is drawn, and every pair is drawn before out_dir is made, so bad
-    arguments leave no directory behind.
+    Every pair's draws come from `pair_words(seed, count)` in one array pass;
+    the rare pair on which numpy would reject a word and draw again is drawn
+    by `sample_pair` from its own stream. The first three pairs are drawn
+    both ways, and a numpy whose streams differ is refused.
+    Geometry and levels are checked and the frames buffer is allocated
+    before any pair is drawn, and every pair is drawn before out_dir is
+    made, so bad arguments leave no directory behind.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     level_bytes = quantize(brightness_levels(levels))
+    positions = _positions(n, s)
     payload = np.empty(1 + 2 * count * n * n, dtype=np.uint8)  # an impossible count fails first
     payload[0] = BINARY_VERSION
     labels = [FACTORS[i % len(FACTORS)] for i in range(count)]
-    draws = np.array([v for rng, factor in zip(streams(seed, count), labels)
-                      for v in sample_pair(rng, factor, n, s, levels)])  # (frame, x|y|level)
+    rows = np.arange(count)
+    factor = rows % len(FACTORS)
+    bounds = np.array([positions, positions, levels], dtype=np.uint64)
+    words = pair_words(seed, count)
+    prev, rejected = _bounded(words[:, :3], bounds)
+    pick, last_rejected = _bounded(words[:, 3], bounds[factor] - 1)
+    curr = prev.copy()
+    curr[rows, factor] = pick + (pick >= prev[rows, factor])
+    draws = np.stack((prev, curr), axis=1)  # (pair, frame, x|y|level)
+    redrawn = rejected.any(axis=1) | last_rejected
+    # numpy draws the rows it would redraw, and checks one pair of each factor.
+    for i in sorted({*np.flatnonzero(redrawn).tolist(), *range(min(count, len(FACTORS)))}):
+        drawn = sample_pair(stream(seed, i), labels[i], n, s, levels)
+        if not redrawn[i] and (draws[i] != drawn).any():
+            raise RuntimeError(f"pair {i} draws {draws[i].tolist()} from numpy's emulated stream "
+                               f"but {list(map(list, drawn))} from numpy {np.__version__}")
+        draws[i] = drawn
+    draws = draws.reshape(-1, 3)  # (frame, x|y|level)
     lit = level_bytes[draws[:, 2]]  # each frame's sprite byte
     corners = draws[:, 1::-1, None]  # (frame, y|x, 1)
     inside = (np.arange(n) >= corners) & (np.arange(n) < corners + s)  # (frame, row|col, n)

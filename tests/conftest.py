@@ -3,6 +3,7 @@ for the terminal summary."""
 
 import numpy as np
 
+from framegate import sprites
 from framegate.sprites import FACTORS, Pairs, brightness_levels, render, sample_pair
 from framegate.streams import stream
 
@@ -29,3 +30,16 @@ def sprite_pairs(seed, count, n=8):
                for x, y, level in sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)]
               for i, factor in enumerate(labels)]
     return Pairs(np.array(frames).reshape(count, 2, n * n), np.array(labels, dtype=str))
+
+
+def count_draws(monkeypatch) -> list:
+    """Record every call of sprites.sample_pair and sprites.pair_words, the two ways
+    generate_dataset draws."""
+    calls = []
+    for name in ("sample_pair", "pair_words"):
+        def counted(*args, draw=getattr(sprites, name)):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(sprites, name, counted)
+    return calls

@@ -57,5 +57,6 @@ def test_cli_commands_record_every_benchmark_span(tmp_path, capsys):
     assert spans.installed_wrappers() == 0
     assert codes == [0, 0, 0, 0]
     assert spans.missing_spans(tracer) == []
-    # One sample_pair per generated pair keeps the traced counts comparable.
-    assert tracer.calls["sprites.sample_pair"] == 20
+    # gen-data draws its pairs in one array pass; sample_pair runs only to
+    # check the first three against numpy's own stream.
+    assert tracer.calls["sprites.sample_pair"] == 3

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_draws
+
 import framegate
 from framegate import cli, evaluation, keyvalue, sprites
 from framegate.model import ModelConfig, ModelParams, forward_pair
@@ -270,13 +272,7 @@ def test_gen_data_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, 
 def test_gen_data_allocates_the_frames_before_drawing(tmp_path, capsys, monkeypatch):
     # 10^12 pairs of 16x16 frames need 466 TiB: the frames buffer is refused
     # before a label list of that length is built or any pair is drawn.
-    sample_pair, calls = sprites.sample_pair, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sample_pair(*args, **kwargs)
-
-    monkeypatch.setattr(sprites, "sample_pair", counted)
+    calls = count_draws(monkeypatch)
     out = tmp_path / "ds"
     assert cli.run(["gen-data", "--out", str(out), "--seed", "0",
                     "--count", "1000000000000"]) == 1

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import count_draws
+
 from framegate import sprites
 from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME,
                                brightness_levels, generate_dataset, load_dataset, quantize,
                                read_manifest, render, sample_pair)
-from framegate.streams import stream
+from framegate.streams import pair_words, stream
 
 
 def rendered_pair(rng, factor, n, s, levels):
@@ -130,17 +132,56 @@ def test_generate_prefix_property(tmp_path):
 
 @pytest.mark.parametrize("levels", [1, 206, 10**12])
 def test_generate_refuses_bad_levels_before_drawing(tmp_path, monkeypatch, levels):
-    calls = []
-    draw = sprites.sample_pair
-
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(sprites, "sample_pair", counted)
+    calls = count_draws(monkeypatch)
     with pytest.raises(ValueError, match="brightness levels"):
         generate_dataset(tmp_path / "d", count=3, seed=0, n=8, s=2, levels=levels)
     assert calls == [] and not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("n,s,message", [(8, 0, "sprite side 0 does not fit"),
+                                         (8, -1, "sprite side -1 does not fit"),
+                                         (8, 8, "frame side 8 with sprite side 8 leaves no room"),
+                                         (8, 9, "frame side 8 with sprite side 9 leaves no room")])
+def test_generate_refuses_bad_geometry_before_allocating(tmp_path, monkeypatch, n, s, message):
+    # 10**12 pairs cannot be allocated: the geometry is refused before the buffer.
+    calls = count_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        generate_dataset(tmp_path / "d", count=10**12, seed=0, n=n, s=s, levels=3)
+    assert calls == [] and not (tmp_path / "d").exists()
+
+
+def test_bounded_draw_matches_generator_integers():
+    # numpy reads words in order and draws again on a rejected word, so its
+    # draws are the bounded values of the words it does not reject.
+    for high in range(1, 257):
+        words = stream(high, "words").bit_generator.random_raw(32)
+        words = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).reshape(-1).astype(np.uint32)
+        drawn, rejected = sprites._bounded(words, np.uint64(high))
+        rng = stream(high, "words")
+        expected = [int(rng.integers(0, high)) for _ in range(48)]
+        assert drawn[~rejected][:48].tolist() == expected, high
+
+
+def test_rows_numpy_would_redraw_come_from_sample_pair(tmp_path, monkeypatch):
+    # Zero words are rejected by every bound that is not a power of two, so
+    # with 7 positions and 3 levels every pair is drawn by sample_pair from
+    # its own stream, and the bytes are those of the array pass.
+    generate_dataset(tmp_path / "block", count=13, seed=3, n=8, s=2, levels=3)
+    drawn = count_draws(monkeypatch)
+    monkeypatch.setattr(sprites, "pair_words", lambda seed, count: np.zeros((count, 4), np.uint32))
+    generate_dataset(tmp_path / "redrawn", count=13, seed=3, n=8, s=2, levels=3)
+    assert len(drawn) == 13
+    for name in (MANIFEST_NAME, FRAMES_NAME):
+        assert (tmp_path / "redrawn" / name).read_bytes() == (tmp_path / "block" / name).read_bytes()
+
+
+def test_generate_refuses_words_that_differ_from_numpys_stream(tmp_path, monkeypatch):
+    # Each pair given the next pair's words stands for a numpy whose
+    # Generator stream differs from the one emulated.
+    monkeypatch.setattr(sprites, "pair_words", lambda seed, count: pair_words(seed, count + 1)[1:])
+    with pytest.raises(RuntimeError, match=r"^pair 0 draws .* from numpy's emulated stream"):
+        generate_dataset(tmp_path / "d", count=13, seed=3, n=8, s=2, levels=3)
+    assert not (tmp_path / "d").exists()
 
 
 def test_labels_cycle_through_factors(tmp_path):

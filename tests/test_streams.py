@@ -1,4 +1,4 @@
-"""Stream derivation against numpy's own SeedSequence."""
+"""Stream derivation and the block of first words against numpy's own SeedSequence and PCG64."""
 
 import hashlib
 import os
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import framegate
-from framegate.streams import BLOCK, _seeded, stream, streams
+from framegate.streams import BLOCK, pair_words, stream
 
 # 2**130 + 5 has five 32-bit words, one more than SeedSequence's pool, so it
 # runs the branch that mixes the remaining entropy into the pool.
@@ -38,17 +38,28 @@ def test_stream_matches_numpy_seed_sequence(seed, path):
     assert np.array_equal(ours.integers(0, 2**63, 16), theirs.integers(0, 2**63, 16))
 
 
+def first_words(rng: np.random.Generator) -> list[int]:
+    """The first four next_uint32 words: each 64-bit output's low half, then its high half."""
+    return [int(half) for raw in rng.bit_generator.random_raw(2)
+            for half in (raw & 0xFFFFFFFF, raw >> 32)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_streams_yields_each_pair_stream_in_order(seed):
-    assert [state(g) for g in streams(seed, 7)] == [state(stream(seed, i)) for i in range(7)]
+def test_pair_words_match_numpy(seed):
+    words = pair_words(seed, 7)
+    assert words.shape == (7, 4) and words.dtype == np.uint32
+    for i in range(7):
+        assert words[i].tolist() == first_words(stream(seed, i)) == first_words(reference(seed, i))
+    assert pair_words(seed, 0).shape == (0, 4)
 
 
-def test_streams_cross_block_boundaries():
-    derived = [state(g) for g in streams(3, BLOCK + 2)]
-    assert len(derived) == BLOCK + 2
-    for i in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
-        assert derived[i] == state(reference(3, i))
-    assert list(streams(3, 0)) == []
+def test_pair_words_cross_block_boundaries():
+    for seed in SEEDS:
+        words = pair_words(seed, BLOCK + 2)
+        assert words.shape == (BLOCK + 2, 4) and words.dtype == np.uint32
+        for i in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+            assert words[i].tolist() == first_words(reference(seed, i))
+        assert np.array_equal(pair_words(seed, 5), words[:5])
 
 
 @pytest.mark.parametrize("seed,path", [(-1, ()), (-1, (0,)), (0, (-1,)), (7, ("init", -2))])
@@ -59,15 +70,9 @@ def test_negative_seed_or_component_is_refused(seed, path):
         reference(seed, *path)
 
 
-def test_streams_refuses_a_negative_seed():
+def test_pair_words_refuses_a_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
-        next(streams(-1, 3))
-
-
-def test_precomputed_seed_words_refuse_any_other_request():
-    seeded = _seeded()(np.zeros(4, dtype=np.uint64))
-    with pytest.raises(ValueError, match="^precomputed seed words are 4 uint64, not 8 uint32$"):
-        seeded.generate_state(8, np.uint32)
+        pair_words(-1, 3)
 
 
 def test_importing_framegate_leaves_numpy_random_unloaded():
