@@ -19,7 +19,7 @@ import numpy as np
 from . import atomic
 from .gating import SharpenParams, hard_select, sharpen
 from .model import ForwardResult, ModelParams, decode, encode, forward_pair
-from .sprites import FACTORS, Pairs, quantize
+from .sprites import FACTORS, Pairs, intensities, quantize
 
 _BLOCK = 256  # pairs per evaluated row block
 # P5, then width, height and maxval as unsigned decimals, then one whitespace byte.
@@ -202,7 +202,7 @@ def read_pgm(path) -> np.ndarray:
     payload = blob[header.end():]
     if len(payload) != width * height:
         raise ValueError(f"{path}: PGM payload has {len(payload)} bytes, expected {width * height}")
-    return (np.frombuffer(payload, dtype=np.uint8) / 255.0).reshape(height, width)
+    return intensities(np.frombuffer(payload, dtype=np.uint8)).reshape(height, width)
 
 
 def format_report(gamma: float, sharp: float, val_mse: float, baseline_mse: float,

@@ -25,18 +25,29 @@ BINARY_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Pairs:
-    """Frame pairs as one array: frames[i] is pair i, labels[i] the factor it changes."""
+    """Frame pairs as one array of stored bytes: frames[i] is pair i, labels[i]
+    the factor it changes. `x_prev` and `x_curr` convert each pair's first and
+    second frame to intensities when asked for; no float copy is kept."""
 
-    frames: np.ndarray  # (count, 2, n*n) intensities in [0, 1]
+    frames: np.ndarray  # (count, 2, n*n) uint8 frame bytes
     labels: np.ndarray  # (count,) factor names
+
+    def __post_init__(self):
+        dtype = getattr(self.frames, "dtype", type(self.frames).__name__)
+        shape = np.shape(self.frames)
+        if dtype != np.uint8 or len(shape) != 3 or shape[1] != 2:
+            raise ValueError(f"frames must be a uint8 (count, 2, pixels) array, "
+                             f"got {dtype} of shape {shape}")
+        if np.shape(self.labels) != shape[:1]:
+            raise ValueError(f"labels of shape {np.shape(self.labels)} for {shape[0]} pairs")
 
     @property
     def x_prev(self) -> np.ndarray:
-        return self.frames[:, 0]
+        return intensities(self.frames[:, 0])
 
     @property
     def x_curr(self) -> np.ndarray:
-        return self.frames[:, 1]
+        return intensities(self.frames[:, 1])
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -125,6 +136,12 @@ def quantize(frame: np.ndarray) -> np.ndarray:
     return np.floor(frame * 255.0 + 0.5).astype(np.uint8)
 
 
+def intensities(raw: np.ndarray) -> np.ndarray:
+    """Inverse of `quantize`: frame bytes over 255, as float64 within 1/510 of
+    the intensities they were quantized from."""
+    return np.divide(raw, 255.0)
+
+
 def _bounded(words: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Generator.integers(0, high) on one next_uint32 word each, by numpy's bounded
     draw (Lemire, ACM TOMACS 2019), and whether numpy would reject that word."""
@@ -209,7 +226,8 @@ def read_manifest(path) -> tuple[int, int, list[str]]:
 def load_dataset(path, rows=slice(None)) -> Pairs:
     """Read the pairs at `rows` (a slice or an index list; all by default) from a
     dataset directory. The frames file is memory-mapped, so only those rows are
-    read; intensities are the stored bytes over 255, within 1/510 of the originals."""
+    read; the pairs own a copy of their stored bytes, which `Pairs.x_prev` and
+    `Pairs.x_curr` convert to intensities."""
     path = Path(path)
     n, count, labels = read_manifest(path / MANIFEST_NAME)
     frames = path / FRAMES_NAME
@@ -221,4 +239,4 @@ def load_dataset(path, rows=slice(None)) -> Pairs:
     if blob[0] != BINARY_VERSION:
         raise ValueError(f"{frames}: unknown binary version {int(blob[0])}")
     raw = blob[1:].view(np.ndarray).reshape(count, 2, -1)[rows]
-    return Pairs(np.divide(raw, 255.0), np.array(labels)[rows])
+    return Pairs(np.array(raw), np.array(labels)[rows])

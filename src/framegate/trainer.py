@@ -26,7 +26,7 @@ from .autodiff import Tape, backward
 from .gating import SharpenParams
 from .model import (ModelConfig, ModelParams, extract_grads, forward_batch,
                     prepare_batch_params)
-from .sprites import Pairs
+from .sprites import Pairs, intensities
 from .streams import stream
 
 CHECKPOINT_MAGIC = "framegate-checkpoint"
@@ -170,7 +170,8 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
         ids = order[start:start + config.batch_size]
         tape = Tape()
         batch_params, leaves = prepare_batch_params(params, tape)
-        result = forward_batch(pairs.x_prev[ids], pairs.x_curr[ids], batch_params, sp, rng=rng)
+        batch = pairs[ids]
+        result = forward_batch(batch.x_prev, batch.x_curr, batch_params, sp, rng=rng)
         loss = result.loss.item()
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch, batch_index, loss)
@@ -281,8 +282,17 @@ def split_validation(pairs: Pairs) -> tuple[Pairs, Pairs]:
 
 
 def mean_frame(pairs: Pairs) -> np.ndarray:
-    """Per-pixel mean over both frames of every pair, summed frame after frame."""
-    return pairs.frames.reshape(2 * len(pairs), -1).sum(axis=0) / (2 * len(pairs))
+    """Per-pixel mean over both frames of every pair, summed frame after frame.
+    Frames are converted to intensities 512 at a time; numpy sums a block's
+    axis 0 row after row, so adding the running total to a block's first row
+    continues the same sequential sum."""
+    frames = pairs.frames.reshape(2 * len(pairs), -1)
+    total = np.zeros(frames.shape[1])
+    for start in range(0, len(frames), 512):
+        block = intensities(frames[start:start + 512])
+        block[0] += total
+        total = block.sum(axis=0)
+    return total / len(frames)
 
 
 def fit(config: TrainConfig, pairs: Pairs, epochs: int, out_dir,

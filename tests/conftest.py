@@ -4,7 +4,7 @@ for the terminal summary."""
 import numpy as np
 
 from framegate import sprites
-from framegate.sprites import FACTORS, Pairs, brightness_levels, render, sample_pair
+from framegate.sprites import FACTORS, Pairs, brightness_levels, quantize, render, sample_pair
 from framegate.streams import stream
 
 CRITERION_LINES: list[str] = []
@@ -22,14 +22,14 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def sprite_pairs(seed, count, n=8):
-    """`count` rendered, unquantized pairs with 2-pixel sprites and 3 brightness
+    """`count` rendered and quantized pairs with 2-pixel sprites and 3 brightness
     levels; pair i draws from stream(seed, i) and changes factor i mod 3."""
     labels = [FACTORS[i % 3] for i in range(count)]
     values = brightness_levels(3)
     frames = [[render(x, y, values[level], n, 2)
                for x, y, level in sample_pair(stream(seed, i), factor, n=n, s=2, levels=3)]
               for i, factor in enumerate(labels)]
-    return Pairs(np.array(frames).reshape(count, 2, n * n), np.array(labels, dtype=str))
+    return Pairs(quantize(np.array(frames).reshape(count, 2, n * n)), np.array(labels, dtype=str))
 
 
 def count_draws(monkeypatch) -> list:

@@ -81,7 +81,7 @@ def test_block_evaluation_matches_the_per_pair_loop():
     pairs = sprite_pairs(9, 300)
     sp = SharpenParams(gamma=3.0)
     losses, maxima, picks = [], [], {f: [] for f in FACTORS}
-    for (x_prev, x_curr), label in zip(pairs.frames, pairs.labels):
+    for x_prev, x_curr, label in zip(pairs.x_prev, pairs.x_curr, pairs.labels):
         result = forward_pair(x_prev, x_curr, params, None)
         losses.append(result.loss.item())
         maxima += [float(sharpen(w, sp).data.max()) for w in result.w_per_head]
@@ -257,8 +257,8 @@ def test_hard_mode_mse_of_constant_decoder():
 
 
 def test_copy_baseline_mse_by_hand():
-    pairs = Pairs(np.array([[[0.0, 1.0], [1.0, 1.0]],
-                            [[0.5, 0.5], [0.5, 0.5]]]), np.array(["x", "y"]))
+    pairs = Pairs(np.array([[[0, 255], [255, 255]],
+                            [[128, 128], [128, 128]]], dtype=np.uint8), np.array(["x", "y"]))
     assert evaluation.copy_baseline_mse(pairs) == 0.25
     with pytest.raises(ValueError, match="non-empty"):
         evaluation.copy_baseline_mse(pairs[:0])

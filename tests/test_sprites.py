@@ -1,12 +1,14 @@
 """Sprite rendering, pairing, and dataset serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import count_draws
 
 from framegate import sprites
-from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME,
+from framegate.sprites import (BINARY_VERSION, FACTORS, FRAMES_NAME, MANIFEST_NAME, Pairs,
                                brightness_levels, generate_dataset, load_dataset, quantize,
                                read_manifest, render, sample_pair)
 from framegate.streams import pair_words, stream
@@ -215,28 +217,29 @@ def test_frames_match_rendered_and_quantized_pairs_exactly(tmp_path, n, s, level
 def test_quantization_error_is_bounded(tmp_path):
     generate_dataset(tmp_path, count=9, seed=4, n=8, s=2, levels=3)
     loaded = load_dataset(tmp_path)
-    for i, frames in enumerate(loaded.frames):
+    for i, pair in enumerate(zip(loaded.x_prev, loaded.x_curr)):
         fresh = rendered_pair(stream(4, i), FACTORS[i % 3], n=8, s=2, levels=3)
-        assert np.abs(frames - np.stack(fresh)).max() <= 1 / 510 + 1e-12
+        assert np.abs(np.stack(pair) - np.stack(fresh)).max() <= 1 / 510 + 1e-12
 
 
-def test_loaded_frames_are_float_unit_interval(tmp_path):
+def test_loaded_frames_are_the_stored_bytes(tmp_path):
     generate_dataset(tmp_path, count=3, seed=2, n=8, s=3, levels=4)
-    raw = np.frombuffer((tmp_path / FRAMES_NAME).read_bytes(), dtype=np.uint8, offset=1)
+    raw = np.frombuffer((tmp_path / FRAMES_NAME).read_bytes(), dtype=np.uint8,
+                        offset=1).reshape(3, 2, 64)
     pairs = load_dataset(tmp_path)
     assert len(pairs) == 3
-    assert np.array_equal(pairs.frames, raw.reshape(3, 2, 64).astype(np.float64) / 255.0)
-    for frames in (pairs.x_prev, pairs.x_curr):
+    assert pairs.frames.dtype == np.uint8 and pairs.frames.flags.owndata
+    assert np.array_equal(pairs.frames, raw)
+    for frames, stored in ((pairs.x_prev, raw[:, 0]), (pairs.x_curr, raw[:, 1])):
         assert frames.dtype == np.float64
         assert frames.shape == (3, 64)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
-    # x_prev and x_curr are views of frames: a write into one frame lands
-    # in that frame only.
-    before = pairs.frames.copy()
+        # Bit for bit the stored bytes over 255, as `intensities` gives them.
+        assert frames.tobytes() == (stored.astype(np.float64) / 255.0).tobytes()
+        assert frames.tobytes() == sprites.intensities(stored).tobytes()
+    # Each conversion is a fresh array: a write into it leaves the bytes alone.
     pairs.x_prev[0] = 0.5
-    assert np.all(pairs.frames[0, 0] == 0.5)
-    before[0, 0] = 0.5
-    assert np.array_equal(pairs.frames, before)
+    assert np.array_equal(pairs.frames, raw)
 
 
 def test_pairs_select_rows_with_their_labels(tmp_path):
@@ -247,11 +250,34 @@ def test_pairs_select_rows_with_their_labels(tmp_path):
     assert np.array_equal(head.frames, pairs.frames[2:5])
     assert head.labels.tolist() == ["brightness", "x", "y"]
     picked = pairs[np.array([6, 0, 4])]
-    assert np.array_equal(picked.x_prev, pairs.frames[[6, 0, 4], 0])
-    assert np.array_equal(picked.x_curr, pairs.frames[[6, 0, 4], 1])
+    assert np.array_equal(picked.frames, pairs.frames[[6, 0, 4]])
+    assert np.array_equal(picked.x_prev, pairs.x_prev[[6, 0, 4]])
+    assert np.array_equal(picked.x_curr, pairs.x_curr[[6, 0, 4]])
     assert picked.labels.tolist() == ["x", "x", "y"]
     with pytest.raises(TypeError, match="single index"):
         pairs[3]
+
+
+@pytest.mark.parametrize("frames,got", [
+    (np.zeros((3, 2, 4)), "float64 of shape (3, 2, 4)"),
+    (np.zeros((3, 2, 4), dtype=np.int64), "int64 of shape (3, 2, 4)"),
+    (np.zeros((3, 8), dtype=np.uint8), "uint8 of shape (3, 8)"),
+    (np.zeros((3, 1, 4), dtype=np.uint8), "uint8 of shape (3, 1, 4)"),
+    ([[[0] * 4] * 2] * 3, "list of shape (3, 2, 4)"),
+], ids=["float", "int64", "flat", "one-frame", "list"])
+def test_pairs_refuse_frames_other_than_uint8_pairs(frames, got):
+    # A float array would otherwise read as bytes: intensities near 0.
+    with pytest.raises(ValueError, match=re.escape(
+            f"frames must be a uint8 (count, 2, pixels) array, got {got}")):
+        Pairs(frames, np.array(["x", "y", "x"]))
+
+
+def test_pairs_refuse_labels_of_another_length():
+    frames = np.zeros((3, 2, 4), dtype=np.uint8)
+    for labels in (np.array(["x", "y"]), np.array(["x"] * 4), np.array([["x", "y", "x"]])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels of shape {labels.shape} for 3 pairs")):
+            Pairs(frames, labels)
 
 
 def test_load_dataset_selects_rows(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import sprite_pairs
 from framegate import evaluation, trainer
 from framegate.gating import SharpenParams
 from framegate.model import ModelConfig, ModelParams, forward_batch
-from framegate.sprites import Pairs, generate_dataset, load_dataset, render
+from framegate.sprites import Pairs, generate_dataset, load_dataset, quantize, render
 from framegate.streams import stream
 from framegate.trainer import (Adam, Checkpoint, CheckpointError, TrainConfig,
                                TrainingDiverged, fit, load_checkpoint, mean_frame,
@@ -138,7 +139,7 @@ def test_adam_rejects_a_gradient_of_another_shape():
 # ---- train_epoch ----
 
 def test_train_epoch_overfits_a_single_pair():
-    pair = Pairs(np.array([[render(1, 2, 0.8, 8, 2), render(4, 2, 0.8, 8, 2)]]),
+    pair = Pairs(quantize(np.array([[render(1, 2, 0.8, 8, 2), render(4, 2, 0.8, 8, 2)]])),
                  np.array(["x"]))
     params = ModelParams.initialize(SMALL, stream(0, "init"))
     config = TrainConfig(gamma0=1.0, gamma_slope=0.0, sigma=0.0, lr=1e-2, batch_size=1)
@@ -164,8 +165,8 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
     total = 0.0
     for start in range(0, 7, 3):
         ids = order[start:start + 3]
-        xp = np.stack([pairs.frames[i, 0] for i in ids])
-        xc = np.stack([pairs.frames[i, 1] for i in ids])
+        xp = np.stack([pairs.x_prev[i] for i in ids])
+        xc = np.stack([pairs.x_curr[i] for i in ids])
         res = forward_batch(xp, xc, params, sp, rng=np.random.default_rng(0))
         total += res.loss.item() * len(ids)
     assert abs(reported - total / 7) < 1e-12
@@ -381,19 +382,43 @@ def test_mean_frame_averages_both_frames_of_every_pair():
 
 @pytest.mark.parametrize("side", [16, 32])
 def test_mean_frame_of_a_loaded_set_matches_the_per_pair_loop(tmp_path, side):
-    # The reference adds frame after frame, prev before curr; the block sum
-    # must keep that order bit for bit, since the decoder bias starts from it.
+    # The reference converts each stored frame to intensities and adds frame
+    # after frame, prev before curr; the block sum must keep that order bit
+    # for bit, since the decoder bias starts from it.
     def per_pair(frames):
         total = np.zeros(side * side)
         for x_prev, x_curr in frames:
-            total += x_prev
-            total += x_curr
+            total += x_prev / 255.0
+            total += x_curr / 255.0
         return total / (2 * len(frames))
 
     generate_dataset(tmp_path, count=3000, seed=0, n=side)
     pairs = load_dataset(tmp_path)
     for subset in (pairs, split_validation(pairs)[0]):
         assert np.array_equal(mean_frame(subset), per_pair(subset.frames))
+
+
+def test_a_loaded_set_is_never_converted_whole(tmp_path):
+    # 3,000 pairs of 32x32 frames are 6 MB as stored bytes and 49 MB as
+    # float64 intensities. Loading them, their mean frame and one epoch
+    # convert only blocks and batches, so the peak stays below one float copy.
+    # A small model keeps the epoch short; a batch of 256 pairs converts 4 MB.
+    count, side = 3000, 32
+    generate_dataset(tmp_path, count=count, seed=0, n=side)
+    model = ModelConfig(image_side=side, latent_dim=6, enc_hidden=(16,), dec_hidden=(16,),
+                        gate_hidden=8)
+    config = TrainConfig(model=model, batch_size=256)
+    tracemalloc.start()
+    try:
+        pairs = load_dataset(tmp_path)
+        params = ModelParams.initialize(config.model, stream(0, "init"),
+                                        mean_frame=mean_frame(pairs))
+        train_epoch(params, Adam(config), pairs, config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 * count * side * side
+    assert pairs.frames.nbytes == 2 * count * side * side
 
 
 def test_fit_runs_and_checkpoints(tmp_path):
