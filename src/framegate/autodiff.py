@@ -292,6 +292,12 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     The map is keyed by leaf node id. Leaves that the loss does not depend
     on get zero gradients. A loss with no tape (all-constant computation)
     yields an empty map.
+
+    Records are swept in reverse, so every consumer of a record's output has
+    handed its gradient down before that record runs: each output's adjoint
+    is dropped as soon as its record has consumed it, and the sweep holds
+    only the adjoints still pending. The tape itself is left untouched and
+    can be swept again.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -300,7 +306,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         return {}
     adjoints: dict[int, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
     for rec in reversed(tape.records):
-        out_grad = adjoints.get(rec.output_id)
+        out_grad = adjoints.pop(rec.output_id, None)
         if out_grad is None:
             continue
         needs = [nid is not None for nid in rec.input_ids]

@@ -8,6 +8,7 @@ usage on stderr), 1 for runtime failures (with a diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -106,7 +107,9 @@ def _cmd_traverse(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="framegate",
                                      description="Gated two-frame autoencoder tools")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,19 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sprite side length (default: %(default)s)")
     gen.add_argument("--levels", type=int, default=shape["levels"],
                      help="brightness levels (default: %(default)s)")
-    gen.set_defaults(func=_cmd_gen_data)
 
     train = sub.add_parser("train", help="train on a generated dataset")
     train.add_argument("--config", help="key=value config file (defaults apply if omitted)")
     train.add_argument("--data", required=True, help="dataset directory")
     train.add_argument("--out", required=True, help="output directory for logs and checkpoints")
-    train.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("eval", help="sharpness/consistency report for a checkpoint")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", help="report path (default: eval_report.txt beside the checkpoint)")
-    ev.set_defaults(func=_cmd_eval)
 
     tr = sub.add_parser("traverse", help="decode a sweep over one latent component")
     tr.add_argument("--checkpoint", required=True)
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--steps", type=int, default=8,
                     help=f"sweep points, 2 to {MAX_STEPS} (default: %(default)s)")
     tr.add_argument("--out", help="output directory (default: beside the checkpoint)")
-    tr.set_defaults(func=_cmd_traverse)
     return parser
 
 
@@ -158,7 +157,10 @@ def run(argv) -> int:
         code = exit_.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        # Looked up per call, so a replaced `_cmd_*` function takes effect.
+        commands = {"gen-data": _cmd_gen_data, "train": _cmd_train,
+                    "eval": _cmd_eval, "traverse": _cmd_traverse}
+        return commands[args.command](args)
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

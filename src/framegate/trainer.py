@@ -153,7 +153,11 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
     The sharpening is `schedule_at(config, epoch)`; the stream
     (config.seed, "epoch", epoch) draws the shuffle and the sharpening noise.
     Each batch's gradients are gathered into one flat vector laid out like
-    `params.flat`, which Adam then updates in place. Returns the mean
+    `params.flat`, which Adam then updates in place. One batch's tape is
+    alive at a time: its tape, leaves, result and gradients are released
+    right after Adam's step, before the next batch records anything. Released
+    any earlier, glibc hands the freed heap back to the OS on every step
+    and the next forward faults it all in again. Returns the mean
     training loss weighted by batch size. Raises TrainingDiverged as soon as
     a batch loss stops being finite, leaving later batches untouched.
     """
@@ -179,6 +183,9 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
         np.concatenate([g.reshape(-1) for g in grads.values()], out=grad)
         opt.step(params.flat, grad)
         total += loss * len(ids)
+        # Without this the whole tape stays alive through the next batch's
+        # forward, until `result` is rebound. Not before Adam's step: see above.
+        del tape, batch_params, leaves, result, grads
     return total / len(pairs)
 
 

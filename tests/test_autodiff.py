@@ -276,6 +276,37 @@ def test_backward_leaves_every_recorded_array_bit_identical():
     assert all(first[nid].tobytes() == second[nid].tobytes() for nid in tape.leaves)
 
 
+def test_backward_frees_each_adjoint_once_its_record_has_consumed_it():
+    # x -> relu -> hadamard -> relu -> hadamard -> sum: every vjp allocates
+    # the gradient it hands down. When the k-th vjp of the sweep runs, the
+    # gradient of the one before it is its input and every earlier one is
+    # gone; the gradients match those of an unwrapped sweep of the same tape.
+    tape = Tape()
+    rng = np.random.default_rng(5)
+    x = tape.leaf(rng.normal(size=(3, 4)))
+    y = x
+    for _ in range(2):
+        y = apply("hadamard", [apply("relu", [y]), rng.normal(size=(3, 4))])
+    loss = apply("sum", [y])
+    plain = backward(loss)
+
+    handed, dead = [], []
+
+    def wrapped(vjp):
+        def call(grad, needs):
+            dead.append([ref() is None for ref in handed])
+            out = vjp(grad, needs)
+            handed.extend(weakref.ref(g) for g in out if g is not None)
+            return out
+        return call
+
+    for rec in tape.records:
+        rec.vjp = wrapped(rec.vjp)
+    swept = backward(loss)
+    assert dead == [[True] * (k - 1) + [False] * (k > 0) for k in range(len(tape.records))]
+    assert swept[x.node].tobytes() == plain[x.node].tobytes()
+
+
 def test_no_recording_without_differentiable_inputs():
     tape = Tape()
     tape.leaf(np.ones(2))  # unrelated leaf

@@ -142,6 +142,23 @@ def test_keyboard_interrupt_propagates_out_of_run(monkeypatch):
         cli.run(["gen-data", "--out", "x", "--seed", "0", "--count", "1"])
 
 
+def test_runs_in_one_process_share_the_parser_and_no_parsed_state(monkeypatch):
+    seen = []
+    for name in ("_cmd_gen_data", "_cmd_eval"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.run(["gen-data", "--out", "x", "--seed", "3", "--count", "5", "--side", "9"]) == 0
+    assert cli.run(["eval", "--checkpoint", "c", "--data", "d"]) == 0
+    assert cli.run(["gen-data", "--out", "y", "--seed", "4", "--count", "6"]) == 0
+    made = inspect.signature(sprites.generate_dataset).parameters
+    assert seen == [
+        {"command": "gen-data", "out": "x", "seed": 3, "count": 5, "side": 9,
+         "sprite": made["s"].default, "levels": made["levels"].default},
+        {"command": "eval", "checkpoint": "c", "data": "d", "out": None},
+        {"command": "gen-data", "out": "y", "seed": 4, "count": 6, "side": made["n"].default,
+         "sprite": made["s"].default, "levels": made["levels"].default}]
+
+
 def test_runtime_failures_exit_1(tmp_path, capsys):
     code = cli.run(["eval", "--checkpoint", str(tmp_path / "missing.txt"),
                     "--data", str(tmp_path)])

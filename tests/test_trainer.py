@@ -1,5 +1,6 @@
 """Sharpening schedule, optimizer, training loop, and checkpoint round-trips."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -170,6 +171,37 @@ def test_train_epoch_reports_pair_weighted_mean_loss():
         res = forward_batch(xp, xc, params, sp, rng=np.random.default_rng(0))
         total += res.loss.item() * len(ids)
     assert abs(reported - total / 7) < 1e-12
+
+
+def test_train_epoch_frees_each_tape_after_adam_and_before_the_next_forward(monkeypatch):
+    # With the cyclic collector off, refcounting alone must free batch k's
+    # tape once its Adam step is done and before batch k+1 records anything.
+    # Not earlier: freed before the step, the tape's heap went back to the
+    # OS on every step, and a 12-epoch fit-wide fit (32x32, batch 256, two
+    # heads) took about 565k minor page faults, against 8.6k freed after the
+    # step and 58-60k with the tape held until the next forward returned.
+    tapes, events = [], []
+    real_forward, real_step = trainer.forward_batch, Adam.step
+
+    def forward_batch(x_prev, x_curr, params, *rest, **kwargs):
+        events.append(("forward", [ref() is None for ref in tapes]))
+        tapes.append(weakref.ref(next(iter(params.arrays.values())).tape))
+        return real_forward(x_prev, x_curr, params, *rest, **kwargs)
+
+    def step(self, p, g):
+        events.append(("adam", tapes[-1]() is not None))
+        real_step(self, p, g)
+
+    monkeypatch.setattr(trainer, "forward_batch", forward_batch)
+    monkeypatch.setattr(Adam, "step", step)
+    config = TrainConfig(model=SMALL, batch_size=4, seed=2)
+    params = ModelParams.initialize(SMALL, stream(2, "init"))
+    gc.disable()
+    try:
+        train_epoch(params, Adam(config), sprite_pairs(2, 18), config, 0)
+    finally:
+        gc.enable()
+    assert events == [e for k in range(5) for e in (("forward", [True] * k), ("adam", True))]
 
 
 def test_train_epoch_is_deterministic_for_a_seed():
