@@ -32,6 +32,7 @@ from .streams import stream
 CHECKPOINT_MAGIC = "framegate-checkpoint"
 CHECKPOINT_VERSION = 3  # 2: head matrices stored (fan_in, fan_out); 3: raw float64 payload
 _PAYLOAD_DTYPE = np.dtype("<f8")
+_BLOCK = 1 << 15  # values per Adam update block; Adam keeps two blocks of scratch
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ class Adam:
     """Adaptive-moment gradient descent over one flat parameter vector, with
     the `lr`, `beta1`, `beta2` and `eps` of a TrainConfig, which checks them.
 
-    The moments `m` and `v` and two scratch vectors are allocated on the
-    first step; every step after that allocates nothing.
+    The moments `m` and `v`, each as long as the vector, and two scratch
+    blocks of at most `_BLOCK` values are allocated on the first step; every
+    step after that allocates nothing.
     """
 
     def __init__(self, config: TrainConfig = TrainConfig()):
@@ -102,40 +104,52 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        """One in-place update of the flat vector p from its gradient g.
+    def step(self, p: np.ndarray, grads) -> None:
+        """One in-place update of the flat vector p from its gradient, given
+        as consecutive pieces of any shape in p's order: `[g]` for one array.
 
         The elementwise operations are those of
         p -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
         after m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
-        each rounded in that order.
+        each rounded in that order. They run over each piece in blocks of
+        `_BLOCK` values, so a parameter's bits do not depend on the pieces.
         """
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameters {p.shape}")
+        if isinstance(grads, np.ndarray):  # iterating it would update one value at a time
+            raise TypeError("Adam.step takes the gradient as pieces: pass [g], not g")
+        pieces = [g.reshape(-1) for g in grads]
+        size = sum(g.size for g in pieces)
+        if size != p.size:
+            raise ValueError(f"gradient pieces hold {size} values, the parameters {p.size}")
         if self.m is None:
             self.m, self.v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = np.empty_like(p), np.empty_like(p)
-        m, v = self.m, self.v
-        step, denom = self._scratch
+            self._scratch = np.empty((2, min(p.size, _BLOCK)), p.dtype)
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=step)
-        m += step
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=step)
-        step *= g
-        v += step
-        np.divide(m, correct1, out=step)
-        step *= self.lr
-        np.divide(v, correct2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        p -= step
+        start = 0
+        for piece in pieces:
+            for lo in range(0, piece.size, _BLOCK):
+                g = piece[lo:lo + _BLOCK]
+                at = slice(start + lo, start + lo + g.size)
+                q, m, v = p[at], self.m[at], self.v[at]
+                step, denom = self._scratch[:, :g.size]
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=step)
+                m += step
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=step)
+                step *= g
+                v += step
+                np.divide(m, correct1, out=step)
+                step *= self.lr
+                np.divide(v, correct2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                step /= denom
+                q -= step
+            start += piece.size
 
 
 class TrainingDiverged(RuntimeError):
@@ -152,8 +166,9 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
 
     The sharpening is `schedule_at(config, epoch)`; the stream
     (config.seed, "epoch", epoch) draws the shuffle and the sharpening noise.
-    Each batch's gradients are gathered into one flat vector laid out like
-    `params.flat`, which Adam then updates in place. One batch's tape is
+    Adam updates `params.flat` in place straight from each batch's per-leaf
+    gradients, which `extract_grads` returns in the flat vector's order, so
+    the epoch allocates no gradient vector of its own. One batch's tape is
     alive at a time: its tape, leaves, result and gradients are released
     right after Adam's step, before the next batch records anything. Released
     any earlier, glibc hands the freed heap back to the OS on every step
@@ -168,7 +183,6 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
     sp = schedule_at(config, epoch)
     rng = stream(config.seed, "epoch", epoch)
     order = rng.permutation(len(pairs))
-    grad = np.empty_like(params.flat)
     total = 0.0
     for batch_index, start in enumerate(range(0, len(pairs), config.batch_size)):
         ids = order[start:start + config.batch_size]
@@ -180,8 +194,7 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch, batch_index, loss)
         grads = extract_grads(leaves, backward(result.loss))
-        np.concatenate([g.reshape(-1) for g in grads.values()], out=grad)
-        opt.step(params.flat, grad)
+        opt.step(params.flat, grads.values())
         total += loss * len(ids)
         # Without this the whole tape stays alive through the next batch's
         # forward, until `result` is rebound. Not before Adam's step: see above.

@@ -70,7 +70,7 @@ def test_adam_first_step_has_lr_magnitude():
     x = np.array([1.0, -2.0, 0.5])
     g = np.array([10.0, -0.01, 3.0])
     before = x.copy()
-    Adam(TrainConfig(lr=0.05)).step(x, g)
+    Adam(TrainConfig(lr=0.05)).step(x, [g])
     assert np.allclose(np.abs(before - x), 0.05, atol=1e-5)
     assert np.all(np.sign(before - x) == np.sign(g))
 
@@ -80,7 +80,7 @@ def test_adam_minimizes_a_quadratic():
     x = np.zeros(4)
     opt = Adam(TrainConfig(lr=0.1))
     for _ in range(500):
-        opt.step(x, 2.0 * (x - target))
+        opt.step(x, [2.0 * (x - target)])
     assert np.abs(x - target).max() < 1e-3
 
 
@@ -90,7 +90,7 @@ def test_adam_updates_in_place_and_tracks_names():
     live = params.named()
     before = {name: arr.copy() for name, arr in live.items()}
     opt = Adam(TrainConfig(lr=0.01))
-    opt.step(params.flat, np.ones_like(params.flat))
+    opt.step(params.flat, [np.ones_like(params.flat)])
     for name, arr in params.named().items():
         assert arr is live[name], name
         assert np.all(arr < before[name]), name
@@ -114,7 +114,9 @@ def per_array_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
 
 
-def test_fused_adam_matches_the_per_array_update_bit_for_bit():
+def test_fused_adam_matches_the_per_array_update_bit_for_bit(monkeypatch):
+    # At a block of 4 values, pieces of 35, 5, 33 and 1 values straddle block edges.
+    monkeypatch.setattr(trainer, "_BLOCK", 4)
     shapes = {"w": (7, 5), "b": (5,), "u": (3, 11), "c": (1,)}
     rng = np.random.default_rng(3)
     arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -126,15 +128,56 @@ def test_fused_adam_matches_the_per_array_update_bit_for_bit():
         grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, size=shape)
                  * (rng.random(shape) > 0.1) for name, shape in shapes.items()}
         per_array_adam(arrays, grads, state, lr=2e-3)
-        opt.step(flat, np.concatenate([g.reshape(-1) for g in grads.values()]))
+        opt.step(flat, grads.values())
     expected = np.concatenate([a.reshape(-1) for a in arrays.values()])
     assert flat.tobytes() == expected.tobytes()
     assert opt.t == state["t"] == 50
 
 
+def test_adam_gives_the_same_bytes_for_any_split_of_the_gradient(monkeypatch):
+    monkeypatch.setattr(trainer, "_BLOCK", 4)
+    rng = np.random.default_rng(8)
+    whole = rng.normal(size=50)
+    split = whole.copy()
+    one, many = Adam(TrainConfig(lr=1e-2)), Adam(TrainConfig(lr=1e-2))
+    for _ in range(20):
+        g = rng.normal(size=50) * 10.0 ** rng.integers(-6, 3, size=50)
+        cuts = np.sort(rng.choice(np.arange(1, 50), size=rng.integers(1, 8), replace=False))
+        one.step(whole, [g])
+        many.step(split, np.split(g, cuts))
+        assert whole.tobytes() == split.tobytes()
+    assert one.m.tobytes() == many.m.tobytes() and one.v.tobytes() == many.v.tobytes()
+
+
 def test_adam_rejects_a_gradient_of_another_shape():
-    with pytest.raises(ValueError, match="gradient shape"):
-        Adam().step(np.zeros(4), np.zeros(3))
+    with pytest.raises(ValueError, match="gradient pieces hold 3 values, the parameters 4"):
+        Adam().step(np.zeros(4), [np.zeros(3)])
+    with pytest.raises(ValueError, match="hold 5 values, the parameters 4"):
+        Adam().step(np.zeros(4), [np.zeros(2), np.zeros((1, 3))])
+
+
+def test_adam_refuses_one_flat_array_as_its_pieces():
+    # Iterating an array would pass each value as its own piece: the same
+    # bits, but about 14 ufunc calls per parameter.
+    opt = Adam()
+    with pytest.raises(TypeError, match=r"pass \[g\], not g"):
+        opt.step(np.zeros(4), np.zeros(4))
+    assert opt.t == 0 and opt.m is None
+
+
+def test_adam_first_step_allocates_the_moments_and_two_blocks_only():
+    # The moments are as long as the vector; the scratch is two blocks, not
+    # two more vectors as long as it.
+    n = 3 * trainer._BLOCK + 5
+    p, g = np.zeros(n), np.ones(n)
+    opt = Adam()
+    tracemalloc.start()
+    try:
+        opt.step(p, [g])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * 8 + 2 * trainer._BLOCK * 8 + 4096
 
 
 # ---- train_epoch ----
@@ -202,6 +245,30 @@ def test_train_epoch_frees_each_tape_after_adam_and_before_the_next_forward(monk
     finally:
         gc.enable()
     assert events == [e for k in range(5) for e in (("forward", [True] * k), ("adam", True))]
+
+
+def test_train_epoch_hands_adam_the_very_gradients_extract_grads_returned(monkeypatch):
+    # Adam reads each leaf's gradient where backward left it: no flat copy.
+    returned, received = [], []
+    real_extract, real_step = trainer.extract_grads, Adam.step
+
+    def extract_grads(*args):
+        grads = real_extract(*args)
+        returned.append(list(grads.values()))
+        return grads
+
+    def step(self, p, grads):
+        received.append(list(grads))
+        real_step(self, p, received[-1])
+
+    monkeypatch.setattr(trainer, "extract_grads", extract_grads)
+    monkeypatch.setattr(Adam, "step", step)
+    config = TrainConfig(model=SMALL, batch_size=4, seed=2)
+    params = ModelParams.initialize(SMALL, stream(2, "init"))
+    train_epoch(params, Adam(config), sprite_pairs(2, 10), config, 0)
+    assert len(received) == len(returned) == 3
+    for got, want in zip(received, returned):
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 def test_train_epoch_is_deterministic_for_a_seed():

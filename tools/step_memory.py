@@ -11,9 +11,12 @@ epochs and prints the minor page faults of each (`ru_minflt` of this
 process), then one more epoch under `tracemalloc`. For that epoch it prints
 the peak of the traced allocations during the forward passes, the backward
 sweeps and the Adam steps, each in MB above what was allocated when the
-epoch began (the loaded set, the parameters and Adam's moments). A phase's
-peak includes whatever an earlier step still holds when it starts.
-The defaults are the benchmark's fit-wide shape.
+epoch began: the loaded set, the parameters, and what Adam holds between
+steps (its two moment vectors and two scratch blocks, which Adam's first
+step allocates; with EPOCHS 0 that step is in the traced epoch). A
+phase's peak includes whatever an earlier step still holds when it
+starts. Last it prints the bytes of Adam's moments and scratch. The
+defaults are the benchmark's fit-wide shape.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ PHASES = {"forward": (trainer, "forward_batch"), "backward": (trainer, "backward
 
 
 def measure(side: int, batch_size: int, heads: int, count: int, epochs: int):
-    """Minor page faults of each plain epoch, and the traced epoch's peak
-    bytes above its start for each phase."""
+    """Minor page faults of each plain epoch, the traced epoch's peak bytes
+    above its start for each phase, and the bytes of Adam's moments and of
+    its scratch."""
     config = trainer.TrainConfig(model=ModelConfig(image_side=side, num_heads=heads),
                                  batch_size=batch_size)
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,7 +81,7 @@ def measure(side: int, batch_size: int, heads: int, count: int, epochs: int):
         tracemalloc.stop()
         for phase, (owner, name) in PHASES.items():
             setattr(owner, name, originals[phase])
-    return faults, peaks
+    return faults, peaks, (opt.m.nbytes + opt.v.nbytes, opt._scratch.nbytes)
 
 
 def main(argv: list[str]) -> int:
@@ -88,13 +92,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--count", type=int, default=3000)
     parser.add_argument("--epochs", type=int, default=3, help="plain epochs before the traced one")
     args = parser.parse_args(argv)
-    faults, peaks = measure(args.side, args.batch_size, args.heads, args.count, args.epochs)
+    faults, peaks, (moments, scratch) = measure(args.side, args.batch_size, args.heads,
+                                                 args.count, args.epochs)
     print(f"side {args.side}, batch {args.batch_size}, {args.heads} head(s), "
           f"{args.count} pairs")
     for epoch, n in enumerate(faults):
         print(f"epoch {epoch}: {n} minor page faults")
     print(f"epoch {args.epochs} peak above its start: "
           + ", ".join(f"{phase} {peak / 1e6:.1f} MB" for phase, peak in peaks.items()))
+    print(f"adam holds between steps: moments {moments} bytes, scratch {scratch} bytes")
     return 0
 
 
