@@ -193,9 +193,18 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict):
         return out, lambda grad, needs: [grad * (1.0 - out * out)]
     if kind == "sigmoid":
         (x,) = _inputs(kind, arrays, 1)
-        # tanh form avoids exp overflow for large negative inputs
-        out = 0.5 * (np.tanh(0.5 * x) + 1.0)
-        return out, lambda grad, needs: [grad * out * (1.0 - out)]
+        # tanh form avoids exp overflow for large negative inputs. Each step
+        # runs in place on the output, in the order 0.5 * (tanh(0.5 x) + 1).
+        out = np.multiply(x, 0.5, out=np.empty_like(x))
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
+
+        def vjp(grad, needs):
+            local = grad * out
+            local *= 1.0 - out
+            return [local]
+        return out, vjp
     if kind == "softmax":
         (x,) = _inputs(kind, arrays, 1)
         axis = int(attrs.get("axis", -1))
@@ -252,12 +261,16 @@ def _forward(kind: str, arrays: list[np.ndarray], attrs: dict):
         return np.asarray(np.sum(x)), lambda grad, needs: [np.full(shape, float(grad))]
     if kind == "mean-squared-error":
         a, b = _pair(kind, arrays, allow_row_broadcast=False)
-        diff = a - b
+        # The record keeps the inputs, which other records usually hold
+        # anyway, and recomputes their difference rather than keep a copy.
 
         def vjp(grad, needs):
-            scaled = diff * (2.0 / diff.size * float(grad))
+            scaled = a - b
+            scaled *= 2.0 / a.size * float(grad)
             return [scaled if needs[0] else None, -scaled if needs[1] else None]
-        return np.asarray(np.mean(diff * diff)), vjp
+        squares = a - b
+        squares *= squares
+        return np.asarray(np.mean(squares)), vjp
     raise ValueError(f"unknown primitive kind: {kind!r}")
 
 

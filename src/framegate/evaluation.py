@@ -39,8 +39,9 @@ Passed = list[tuple[Pairs, ForwardResult]]  # what `hard_pass` returns
 
 def hard_pass(params: ModelParams, pairs: Pairs) -> Passed:
     """(pairs, ForwardResult) for each block of a non-empty pair set, the
-    gate hard (no SharpenParams): each head swaps its argmax component."""
-    return [(chunk, forward_pair(chunk.x_prev, chunk.x_curr, params, None))
+    gate hard (no SharpenParams): each head swaps its argmax component. Each
+    block is converted once, into its stacked `Pairs.stacked` block."""
+    return [(chunk, forward_pair(chunk.stacked, None, params, None))
             for chunk in _blocks(pairs)]
 
 
@@ -227,6 +228,8 @@ def copy_baseline_mse(pairs: Pairs) -> float:
     """Error of predicting the current frame as a copy of the previous one."""
     total = 0.0
     for chunk in _blocks(pairs):
-        diff = chunk.x_prev - chunk.x_curr
-        total += float(np.mean(diff * diff, axis=1).sum())
+        diff = chunk.x_prev
+        diff -= chunk.x_curr
+        diff *= diff
+        total += float(np.mean(diff, axis=1).sum())
     return total / len(pairs)

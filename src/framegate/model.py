@@ -184,10 +184,13 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
                  rng: np.random.Generator | None = None) -> ForwardResult:
     """Gated reconstruction of the current frames from (batch, pixels) blocks
     of previous and current frames; a single pair of frames runs as a one-row
-    block, so every result has one row per pair.
+    block, so every result has one row per pair. With x_curr None, x_prev is
+    both blocks stacked, a (2, batch, pixels) block such as `Pairs.stacked`.
 
-    Both blocks go through the encoder as one stacked batch. Each head scores
-    the latent change h_curr - h_prev and its elementwise square
+    Both frames go through the encoder as one (2·batch, pixels) batch, a view
+    of the stacked block, and the loss target is a view of its second half;
+    two separate blocks are stacked first. Each head scores the latent
+    change h_curr - h_prev and its elementwise square
     (`gating.head_input`), never the two latents themselves. Given
     SharpenParams, each head's weighting is sharpened (drawing noise from rng
     when sigma > 0); given None, the hard gate swaps exactly the argmax
@@ -196,11 +199,18 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
     is the mean squared pixel error against x_curr, over every pixel of every
     row.
     """
-    x_prev, x_curr = np.atleast_2d(x_prev), np.atleast_2d(x_curr)
-    if x_prev.shape != x_curr.shape or x_prev.ndim != 2:
-        raise ValueError(f"expected matching (batch, pixels) blocks, got {x_prev.shape} and {x_curr.shape}")
-    b = x_prev.shape[0]
-    stacked = encode(constant(np.concatenate([x_prev, x_curr], axis=0)), params)
+    if x_curr is None:
+        block = x_prev
+        if np.ndim(block) != 3 or np.shape(block)[0] != 2:
+            raise ValueError(f"expected a stacked (2, batch, pixels) block, got {np.shape(block)}")
+    else:
+        x_prev, x_curr = np.atleast_2d(x_prev), np.atleast_2d(x_curr)
+        if x_prev.shape != x_curr.shape or x_prev.ndim != 2:
+            raise ValueError(f"expected matching (batch, pixels) blocks, got {x_prev.shape} and {x_curr.shape}")
+        block = np.stack((x_prev, x_curr))
+    block = np.asarray(block, dtype=np.float64, order="C")
+    b = block.shape[1]
+    stacked = encode(constant(block.reshape(2 * b, block.shape[2])), params)
     latent_prev = apply("slice", [stacked], {"axis": 0, "range": (0, b)})
     latent_curr = apply("slice", [stacked], {"axis": 0, "range": (b, 2 * b)})
     weightings = [gate_weights(latent_prev, latent_curr,
@@ -214,14 +224,15 @@ def forward_pair(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
     mask = combine_heads(chosen)
     mixed = mix(latent_prev, latent_curr, mask)
     x_hat = decode(mixed, params)
-    loss = apply("mean-squared-error", [x_hat, constant(x_curr)])
+    loss = apply("mean-squared-error", [x_hat, constant(block[1])])
     return ForwardResult(x_hat=x_hat, loss=loss, w_per_head=weightings, mask=mask,
                          latent_curr=latent_curr, mixed=mixed)
 
 
 def forward_batch(x_prev, x_curr, params, sharpen_params: SharpenParams | None,
                   rng: np.random.Generator | None = None) -> ForwardResult:
-    """`forward_pair` under the name `train_epoch` calls and the benchmark pins."""
+    """`forward_pair` under the name `train_epoch` calls and the benchmark
+    pins; `train_epoch` passes one stacked block and None."""
     return forward_pair(x_prev, x_curr, params, sharpen_params, rng)
 
 

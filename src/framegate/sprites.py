@@ -27,7 +27,8 @@ BINARY_VERSION = 1
 class Pairs:
     """Frame pairs as one array of stored bytes: frames[i] is pair i, labels[i]
     the factor it changes. `x_prev` and `x_curr` convert each pair's first and
-    second frame to intensities when asked for; no float copy is kept."""
+    second frame to intensities when asked for, and `stacked` converts both
+    in one pass into the block `forward_pair` reads; no float copy is kept."""
 
     frames: np.ndarray  # (count, 2, n*n) uint8 frame bytes
     labels: np.ndarray  # (count,) factor names
@@ -48,6 +49,13 @@ class Pairs:
     @property
     def x_curr(self) -> np.ndarray:
         return intensities(self.frames[:, 1])
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """Every first frame, then every second frame: a C-contiguous
+        (2, count, pixels) block of intensities, equal to
+        np.stack((x_prev, x_curr))."""
+        return intensities(self.frames.swapaxes(0, 1))
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -137,9 +145,9 @@ def quantize(frame: np.ndarray) -> np.ndarray:
 
 
 def intensities(raw: np.ndarray) -> np.ndarray:
-    """Inverse of `quantize`: frame bytes over 255, as float64 within 1/510 of
-    the intensities they were quantized from."""
-    return np.divide(raw, 255.0)
+    """Inverse of `quantize`: frame bytes over 255, as a C-contiguous float64
+    array within 1/510 of the intensities they were quantized from."""
+    return np.divide(raw, 255.0, order="C")
 
 
 def _bounded(words: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

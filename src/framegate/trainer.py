@@ -166,15 +166,19 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
 
     The sharpening is `schedule_at(config, epoch)`; the stream
     (config.seed, "epoch", epoch) draws the shuffle and the sharpening noise.
+    Each batch's stored bytes are selected and converted once, into the
+    stacked block `Pairs.stacked` that the forward pass reads whole; the
+    selected bytes go at once, and only the tape holds the block.
     Adam updates `params.flat` in place straight from each batch's per-leaf
     gradients, which `extract_grads` returns in the flat vector's order, so
     the epoch allocates no gradient vector of its own. One batch's tape is
-    alive at a time: its tape, leaves, result and gradients are released
-    right after Adam's step, before the next batch records anything. Released
-    any earlier, glibc hands the freed heap back to the OS on every step
-    and the next forward faults it all in again. Returns the mean
-    training loss weighted by batch size. Raises TrainingDiverged as soon as
-    a batch loss stops being finite, leaving later batches untouched.
+    alive at a time: its tape, with the stacked block, leaves, result and
+    gradients are released right after Adam's step, before the next batch
+    records anything. Released any earlier, glibc hands the freed heap back
+    to the OS on every step and the next forward faults it all in again.
+    Returns the mean training loss weighted by batch size. Raises
+    TrainingDiverged as soon as a batch loss stops being finite, leaving
+    later batches untouched.
     """
     if not pairs:
         raise ValueError("train_epoch needs a non-empty dataset")
@@ -188,8 +192,7 @@ def train_epoch(params: ModelParams, opt: Adam, pairs: Pairs, config: TrainConfi
         ids = order[start:start + config.batch_size]
         tape = Tape()
         batch_params, leaves = prepare_batch_params(params, tape)
-        batch = pairs[ids]
-        result = forward_batch(batch.x_prev, batch.x_curr, batch_params, sp, rng=rng)
+        result = forward_batch(pairs[ids].stacked, None, batch_params, sp, rng=rng)
         loss = result.loss.item()
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch, batch_index, loss)
@@ -257,6 +260,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: unsupported checkpoint {version or 'header'}")
 
     text, _, payload = rest.partition(b"\n\n")
+    del rest  # one copy of the payload besides `flat`, not two
     examples = _header(Checkpoint(TrainConfig(), epoch=0, params=None), b"")
     try:
         header = keyvalue.read(text.decode("ascii", errors="replace"), examples, str(path),

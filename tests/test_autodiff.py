@@ -1,6 +1,7 @@
 """Tensor engine: forward values, tape behavior, gradients against central differences."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -347,6 +348,53 @@ def test_tensor_keeps_float64_contiguous_arrays_and_converts_others():
         assert data.dtype == np.float64 and data.flags.c_contiguous
         assert np.array_equal(data, np.asarray(other, dtype=np.float64))
     assert Tensor(2.0).data.shape == ()
+
+
+# ---- Memory a primitive holds ----
+
+# 16,384 values (128 KiB) per array: below numpy's 256 KiB threshold for
+# reusing a temporary's buffer, so each count below is what the code asks for.
+MEMORY_N = 1 << 14
+SLACK = 4096
+
+
+def _traced(fn):
+    """fn's result, then how far traced memory grew and peaked above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current - start, peak - start
+
+
+def test_mse_record_keeps_its_inputs_and_no_copy_of_their_difference():
+    # Both inputs of the model's loss are already held by other records.
+    rng = np.random.default_rng(6)
+    tape = Tape()
+    a, b = tape.leaf(rng.normal(size=MEMORY_N)), rng.normal(size=MEMORY_N)
+    loss, grown, _ = _traced(lambda: apply("mean-squared-error", [a, constant(b)]))
+    assert grown < MEMORY_N * 8
+    assert backward(loss)[a.node].tobytes() == ((a.data - b) * (2.0 / MEMORY_N)).tobytes()
+
+
+def test_sigmoid_runs_in_place_on_its_output():
+    x = np.random.default_rng(7).normal(size=MEMORY_N)
+    y, _, peak = _traced(lambda: apply("sigmoid", [x]))
+    assert peak <= MEMORY_N * 8 + SLACK
+    assert y.data.tobytes() == (0.5 * (np.tanh(0.5 * x) + 1.0)).tobytes()
+
+
+def test_sigmoid_vjp_holds_its_result_and_one_temporary():
+    rng = np.random.default_rng(8)
+    tape = Tape()
+    y = apply("sigmoid", [tape.leaf(rng.normal(size=MEMORY_N))])
+    grad = rng.normal(size=MEMORY_N)
+    (local,), _, peak = _traced(lambda: tape.records[-1].vjp(grad, [True]))
+    assert peak <= 2 * MEMORY_N * 8 + SLACK
+    assert local.tobytes() == (grad * y.data * (1.0 - y.data)).tobytes()
 
 
 # ---- Frozen oracle values ----

@@ -1,6 +1,7 @@
 """Encoder/decoder, two-frame forward pass, batched path, full-model gradients."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,15 @@ def test_mismatched_or_non_2d_blocks_rejected():
         forward_pair(block, block, params, None)
 
 
+@pytest.mark.parametrize("shape", [(2, 64), (3, 4, 64), (1, 4, 64), (2, 4, 64, 1)],
+                         ids=["two-frames", "three-blocks", "one-block", "four-axes"])
+def test_stacked_block_must_be_two_by_batch_by_pixels(shape):
+    params = ModelParams.zeros(SMALL)
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected a stacked (2, batch, pixels) block, got {shape}")):
+        forward_pair(np.zeros(shape), None, params, None)
+
+
 def test_noise_free_soft_mode_needs_no_rng():
     rng = np.random.default_rng(13)
     params = ModelParams.initialize(SMALL, rng)
@@ -220,6 +230,27 @@ def test_batch_loss_equals_mean_of_pair_losses():
                             rng=np.random.default_rng(0)).loss.item()
                for i in range(5)]
     assert abs(batch_loss - np.mean(singles)) < 1e-12
+
+
+@pytest.mark.parametrize("sharpened", [True, False], ids=["sharpened", "hard"])
+def test_stacked_block_gives_the_bytes_of_two_blocks(sharpened):
+    # train_epoch hands forward_batch one stacked block; evaluation and the
+    # benchmark hand it two. Both run one body on the same values, so every
+    # result and every gradient is the same to the bit.
+    config = replace(SMALL, num_heads=2)
+    rng = np.random.default_rng(12)
+    params = ModelParams.initialize(config, rng)
+    xp, xc = frames(rng, config, 5), frames(rng, config, 5)
+    sp = SharpenParams(gamma=2.0, sigma=0.05) if sharpened else None
+    runs = []
+    for args in ((xp, xc), (np.stack((xp, xc)), None)):
+        bp, leaves = prepare_batch_params(params, Tape())
+        res = forward_batch(*args, bp, sp, rng=np.random.default_rng(3))
+        grads = extract_grads(leaves, backward(res.loss))
+        tensors = [res.x_hat, res.loss, *res.w_per_head, res.mask, res.latent_curr, res.mixed]
+        runs.append(([t.data.tobytes() for t in tensors],
+                     [g.tobytes() for g in grads.values()]))
+    assert runs[0] == runs[1]
 
 
 def test_batch_gradients_match_averaged_pair_gradients():

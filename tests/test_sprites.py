@@ -242,6 +242,20 @@ def test_loaded_frames_are_the_stored_bytes(tmp_path):
     assert np.array_equal(pairs.frames, raw)
 
 
+def test_stacked_block_is_both_conversions_in_one_c_contiguous_array(tmp_path):
+    # A training step reads both frames of a batch from one block, converted
+    # once from the stored bytes with the same division as `x_prev`/`x_curr`.
+    generate_dataset(tmp_path, count=7, seed=2, n=8, s=3, levels=4)
+    pairs = load_dataset(tmp_path)
+    for chosen in (pairs, pairs[np.array([6, 0, 4])], pairs[2:5]):
+        block = chosen.stacked
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.shape == (2, len(chosen), 64)
+        assert block.tobytes() == np.stack((chosen.x_prev, chosen.x_curr)).tobytes()
+        # Its reshape to the encoder's (2·batch, pixels) rows is a view.
+        assert np.shares_memory(block.reshape(2 * len(chosen), 64), block)
+
+
 def test_pairs_select_rows_with_their_labels(tmp_path):
     generate_dataset(tmp_path, count=7, seed=2, n=8, s=3, levels=4)
     pairs = load_dataset(tmp_path)

@@ -247,6 +247,31 @@ def test_train_epoch_frees_each_tape_after_adam_and_before_the_next_forward(monk
     assert events == [e for k in range(5) for e in (("forward", [True] * k), ("adam", True))]
 
 
+def test_train_epoch_converts_each_batch_once_into_a_block_its_tape_releases(monkeypatch):
+    # forward_batch gets one stacked (2, batch, pixels) block and no second
+    # block; with the cyclic collector off, each block is gone by the next
+    # batch's forward, released with its tape.
+    blocks, events = [], []
+    real_forward = trainer.forward_batch
+
+    def forward_batch(x_prev, x_curr, params, *rest, **kwargs):
+        events.append([ref() is None for ref in blocks])
+        assert x_curr is None and x_prev.dtype == np.float64 and x_prev.flags.c_contiguous
+        assert x_prev.shape[0] == 2 and x_prev.shape[2] == SMALL.pixels
+        blocks.append(weakref.ref(x_prev))
+        return real_forward(x_prev, x_curr, params, *rest, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_batch", forward_batch)
+    config = TrainConfig(model=SMALL, batch_size=4, seed=2)
+    params = ModelParams.initialize(SMALL, stream(2, "init"))
+    gc.disable()
+    try:
+        train_epoch(params, Adam(config), sprite_pairs(2, 18), config, 0)
+    finally:
+        gc.enable()
+    assert events == [[True] * k for k in range(5)]
+
+
 def test_train_epoch_hands_adam_the_very_gradients_extract_grads_returned(monkeypatch):
     # Adam reads each leaf's gradient where backward left it: no flat copy.
     returned, received = [], []
@@ -495,6 +520,24 @@ def test_mean_frame_of_a_loaded_set_matches_the_per_pair_loop(tmp_path, side):
     pairs = load_dataset(tmp_path)
     for subset in (pairs, split_validation(pairs)[0]):
         assert np.array_equal(mean_frame(subset), per_pair(subset.frames))
+
+
+def test_a_checkpoint_loads_with_one_payload_copy_besides_the_parameters(tmp_path):
+    # The file's bytes, then its payload, then the flat vector: at no time
+    # more than two of them (the parent held three: 3.06 x the parameters).
+    config = TrainConfig(model=ModelConfig(image_side=32))
+    params = ModelParams.initialize(config.model, stream(0, "init"))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(Checkpoint(config=config, epoch=0, params=params), path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert loaded.params.flat.tobytes() == params.flat.tobytes()
+    assert peak < 2.5 * params.flat.nbytes
 
 
 def test_a_loaded_set_is_never_converted_whole(tmp_path):

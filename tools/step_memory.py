@@ -15,8 +15,12 @@ epoch began: the loaded set, the parameters, and what Adam holds between
 steps (its two moment vectors and two scratch blocks, which Adam's first
 step allocates; with EPOCHS 0 that step is in the traced epoch). A
 phase's peak includes whatever an earlier step still holds when it
-starts. Last it prints the bytes of Adam's moments and scratch. The
-defaults are the benchmark's fit-wide shape.
+starts. Next it prints the most that a step still holds, above the same
+start, when its forward pass returns: the tape's live set (the recorded
+arrays, the stacked batch among them) and the forward's result, apart
+from the forward's transient blocks, which only the peak counts. Last it
+prints the bytes of Adam's moments and scratch. The defaults are the
+benchmark's fit-wide shape.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ PHASES = {"forward": (trainer, "forward_batch"), "backward": (trainer, "backward
 
 def measure(side: int, batch_size: int, heads: int, count: int, epochs: int):
     """Minor page faults of each plain epoch, the traced epoch's peak bytes
-    above its start for each phase, and the bytes of Adam's moments and of
-    its scratch."""
+    above its start for each phase, the most bytes above that start that
+    are still allocated when a forward returns, and the bytes of Adam's
+    moments and of its scratch."""
     config = trainer.TrainConfig(model=ModelConfig(image_side=side, num_heads=heads),
                                  batch_size=batch_size)
     with tempfile.TemporaryDirectory() as tmp:
@@ -59,15 +64,19 @@ def measure(side: int, batch_size: int, heads: int, count: int, epochs: int):
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     peaks = dict.fromkeys(PHASES, 0)
-    start = 0
+    held = start = 0
 
     def traced(phase, fn):
         def wrapper(*args, **kwargs):
+            nonlocal held
             tracemalloc.reset_peak()
             try:
                 return fn(*args, **kwargs)
             finally:
-                peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1] - start)
+                current, peak = tracemalloc.get_traced_memory()
+                peaks[phase] = max(peaks[phase], peak - start)
+                if phase == "forward":
+                    held = max(held, current - start)
         return wrapper
 
     originals = {phase: getattr(owner, name) for phase, (owner, name) in PHASES.items()}
@@ -81,7 +90,7 @@ def measure(side: int, batch_size: int, heads: int, count: int, epochs: int):
         tracemalloc.stop()
         for phase, (owner, name) in PHASES.items():
             setattr(owner, name, originals[phase])
-    return faults, peaks, (opt.m.nbytes + opt.v.nbytes, opt._scratch.nbytes)
+    return faults, peaks, held, (opt.m.nbytes + opt.v.nbytes, opt._scratch.nbytes)
 
 
 def main(argv: list[str]) -> int:
@@ -92,14 +101,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--count", type=int, default=3000)
     parser.add_argument("--epochs", type=int, default=3, help="plain epochs before the traced one")
     args = parser.parse_args(argv)
-    faults, peaks, (moments, scratch) = measure(args.side, args.batch_size, args.heads,
-                                                 args.count, args.epochs)
+    faults, peaks, held, (moments, scratch) = measure(args.side, args.batch_size, args.heads,
+                                                       args.count, args.epochs)
     print(f"side {args.side}, batch {args.batch_size}, {args.heads} head(s), "
           f"{args.count} pairs")
     for epoch, n in enumerate(faults):
         print(f"epoch {epoch}: {n} minor page faults")
     print(f"epoch {args.epochs} peak above its start: "
           + ", ".join(f"{phase} {peak / 1e6:.1f} MB" for phase, peak in peaks.items()))
+    print(f"epoch {args.epochs} held when a forward returns: {held / 1e6:.1f} MB")
     print(f"adam holds between steps: moments {moments} bytes, scratch {scratch} bytes")
     return 0
 
